@@ -117,38 +117,39 @@ func SeparateConvSpatial(n *dnn.Network, li, rank int) error {
 	if rank < 1 {
 		rank = 1
 	}
-	// Unfold W[f,c,kh,kw] into M[(c,kh),(f,kw)].
-	m := tensor.New(c.C*c.KH, c.F*c.KW)
+	// Unfold W[f,c,kh,kw] into M[(c,kh),(f,kw)]: each (f,c,kh) row of KW
+	// taps lands contiguously in row (c,kh) at column f*KW.
+	rows, cols := c.C*c.KH, c.F*c.KW
+	m := tensor.New(rows, cols)
+	w, md := c.W.Data(), m.Data()
 	for f := 0; f < c.F; f++ {
-		for ci := 0; ci < c.C; ci++ {
-			for kh := 0; kh < c.KH; kh++ {
-				for kw := 0; kw < c.KW; kw++ {
-					m.Set(c.W.At(f, ci, kh, kw), ci*c.KH+kh, f*c.KW+kw)
-				}
-			}
+		for ck := 0; ck < rows; ck++ {
+			src := (f*rows + ck) * c.KW
+			copy(md[ck*cols+f*c.KW:ck*cols+(f+1)*c.KW], w[src:src+c.KW])
 		}
 	}
-	if mr := min(m.Dim(0), m.Dim(1)); rank > mr {
+	if mr := min(rows, cols); rank > mr {
 		rank = mr
 	}
 	svd := linalg.Decompose(m)
 	a, b := svd.LowRankFactors(rank) // M ≈ a((c,kh),r) * b(r,(f,kw))
 
+	// vert.W[r,(c,kh),0] = a[(c,kh),r]: a transposed.
 	vert := dnn.NewConv(nil2rng(), rank, c.C, c.KH, 1)
+	vw, ad := vert.W.Data(), a.Data()
 	for r := 0; r < rank; r++ {
-		for ci := 0; ci < c.C; ci++ {
-			for kh := 0; kh < c.KH; kh++ {
-				vert.W.Set(a.At(ci*c.KH+kh, r), r, ci, kh, 0)
-			}
+		for ck := 0; ck < rows; ck++ {
+			vw[r*rows+ck] = ad[ck*rank+r]
 		}
 	}
 	vert.B.Zero()
+	// horiz.W[f,r,0,kw] = b[r,(f,kw)]: KW-long runs of b.
 	horiz := dnn.NewConv(nil2rng(), c.F, rank, 1, c.KW)
+	hw, bd := horiz.W.Data(), b.Data()
 	for f := 0; f < c.F; f++ {
 		for r := 0; r < rank; r++ {
-			for kw := 0; kw < c.KW; kw++ {
-				horiz.W.Set(b.At(r, f*c.KW+kw), f, r, 0, kw)
-			}
+			dst := (f*rank + r) * c.KW
+			copy(hw[dst:dst+c.KW], bd[r*cols+f*c.KW:r*cols+(f+1)*c.KW])
 		}
 	}
 	copy(horiz.B.Data(), c.B.Data())
@@ -178,22 +179,21 @@ func SeparateConvTucker2(n *dnn.Network, li, rankF, rankC int) error {
 	// core so the chain has exactly three convolutions.
 	core := linalg.ModeMul(linalg.ModeMul(tk.Core, tk.Factors[2], 2), tk.Factors[3], 3)
 
+	// proj.W[r,c,0,0] = uC[c,r]: uC transposed.
 	proj := dnn.NewConv(nil2rng(), rankC, c.C, 1, 1)
+	pw, ucd := proj.W.Data(), uC.Data()
 	for r := 0; r < rankC; r++ {
 		for ci := 0; ci < c.C; ci++ {
-			proj.W.Set(uC.At(ci, r), r, ci, 0, 0)
+			pw[r*c.C+ci] = ucd[ci*rankC+r]
 		}
 	}
 	proj.B.Zero()
 	mid := dnn.NewConv(nil2rng(), rankF, rankC, c.KH, c.KW)
 	copy(mid.W.Data(), core.Data())
 	mid.B.Zero()
+	// expand.W[f,r,0,0] = uF[f,r]: the same row-major layout.
 	expand := dnn.NewConv(nil2rng(), c.F, rankF, 1, 1)
-	for f := 0; f < c.F; f++ {
-		for r := 0; r < rankF; r++ {
-			expand.W.Set(uF.At(f, r), f, r, 0, 0)
-		}
-	}
+	copy(expand.W.Data(), uF.Data())
 	copy(expand.B.Data(), c.B.Data())
 	n.Layers = append(n.Layers[:li],
 		append([]dnn.Layer{proj, mid, expand}, n.Layers[li+1:]...)...)

@@ -511,6 +511,9 @@ func NewTraceHarvester(trace []float64) (*TraceHarvester, error) {
 		if w <= 0 {
 			return nil, fmt.Errorf("energy: trace sample %d is non-positive (%v)", i, w)
 		}
+		if math.IsNaN(w) || math.IsInf(w, 0) {
+			return nil, fmt.Errorf("energy: trace sample %d is non-finite (%v)", i, w)
+		}
 	}
 	return &TraceHarvester{Trace: trace}, nil
 }

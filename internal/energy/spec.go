@@ -1,6 +1,9 @@
 package energy
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // SystemSpec is a declarative, serializable description of a power system:
 // a capacitor size plus a named harvester class and its parameters. It is
@@ -25,30 +28,37 @@ type SystemSpec struct {
 }
 
 // Validate reports whether the spec describes a constructible system,
-// without constructing it.
+// without constructing it. NaN and infinite parameters are rejected; a NaN
+// would otherwise slip past every ordered comparison below.
 func (s SystemSpec) Validate() error {
 	switch s.Kind {
 	case "cont":
 		return nil
-	case "const", "stoch", "solar":
-		if s.CapFarads <= 0 {
-			return fmt.Errorf("energy: %q spec needs a positive capacitor, got %v", s.Kind, s.CapFarads)
-		}
-		if s.Watts < 0 {
-			return fmt.Errorf("energy: %q spec has negative harvest power %v", s.Kind, s.Watts)
-		}
-		return nil
-	case "trace":
-		if s.CapFarads <= 0 {
-			return fmt.Errorf("energy: %q spec needs a positive capacitor, got %v", s.Kind, s.CapFarads)
-		}
-		_, err := NewTraceHarvester(s.Trace)
-		return err
+	case "const", "stoch", "solar", "trace":
 	case "":
 		return fmt.Errorf("energy: spec has no harvester kind")
 	default:
 		return fmt.Errorf("energy: unknown harvester kind %q", s.Kind)
 	}
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{{"capacitor", s.CapFarads}, {"harvest power", s.Watts}, {"sigma", s.Sigma}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("energy: %q spec has non-finite %s %v", s.Kind, f.name, f.v)
+		}
+	}
+	if s.CapFarads <= 0 {
+		return fmt.Errorf("energy: %q spec needs a positive capacitor, got %v", s.Kind, s.CapFarads)
+	}
+	if s.Kind == "trace" {
+		_, err := NewTraceHarvester(s.Trace)
+		return err
+	}
+	if s.Watts < 0 {
+		return fmt.Errorf("energy: %q spec has negative harvest power %v", s.Kind, s.Watts)
+	}
+	return nil
 }
 
 // New constructs the power system the spec describes, fully charged. The

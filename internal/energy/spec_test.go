@@ -2,7 +2,9 @@ package energy
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -30,6 +32,39 @@ func TestSystemSpecValidate(t *testing.T) {
 	for _, s := range invalid {
 		if err := s.Validate(); err == nil {
 			t.Errorf("%+v passed validation", s)
+		}
+	}
+}
+
+// TestSystemSpecRejectsNonFinite pins that NaN and ±Inf never pass
+// validation in any parameter a harvester kind reads: NaN slips past the
+// ordered comparisons, so each field needs an explicit check.
+func TestSystemSpecRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		spec SystemSpec
+		want string
+	}{
+		{"const nan cap", SystemSpec{Kind: "const", CapFarads: nan}, "non-finite capacitor"},
+		{"const +inf cap", SystemSpec{Kind: "const", CapFarads: inf}, "non-finite capacitor"},
+		{"solar -inf cap", SystemSpec{Kind: "solar", CapFarads: -inf}, "non-finite capacitor"},
+		{"trace nan cap", SystemSpec{Kind: "trace", CapFarads: nan, Trace: []float64{1e-3}}, "non-finite capacitor"},
+		{"const +inf watts", SystemSpec{Kind: "const", CapFarads: 100e-6, Watts: inf}, "non-finite harvest power"},
+		{"solar nan watts", SystemSpec{Kind: "solar", CapFarads: 100e-6, Watts: nan}, "non-finite harvest power"},
+		{"stoch -inf watts", SystemSpec{Kind: "stoch", CapFarads: 100e-6, Watts: -inf}, "non-finite harvest power"},
+		{"stoch nan sigma", SystemSpec{Kind: "stoch", CapFarads: 100e-6, Sigma: nan}, "non-finite sigma"},
+		{"stoch +inf sigma", SystemSpec{Kind: "stoch", CapFarads: 100e-6, Sigma: inf}, "non-finite sigma"},
+		{"trace nan sample", SystemSpec{Kind: "trace", CapFarads: 100e-6, Trace: []float64{1e-3, nan}}, "trace sample 1 is non-finite"},
+		{"trace +inf sample", SystemSpec{Kind: "trace", CapFarads: 100e-6, Trace: []float64{inf}}, "trace sample 0 is non-finite"},
+	}
+	for _, tc := range cases {
+		err := tc.spec.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate() = %v, want error containing %q", tc.name, err, tc.want)
+		}
+		if _, err := tc.spec.New(1); err == nil {
+			t.Errorf("%s: New accepted the spec", tc.name)
 		}
 	}
 }

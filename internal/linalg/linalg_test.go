@@ -247,3 +247,16 @@ func TestHOOIRankBoundedByUnfolding(t *testing.T) {
 		t.Error("effective-full-rank HOOI should reconstruct exactly")
 	}
 }
+
+// TestDecomposeAllocBound guards the cold-path SVD: the Jacobi rotations
+// run over flat column slices, so a decomposition allocates a handful of
+// buffers, not one index slice per element access. The bound is one
+// allocation per column of the smaller dimension.
+func TestDecomposeAllocBound(t *testing.T) {
+	a := randTensor(rand.New(rand.NewPCG(11, 0)), 96, 1008)
+	allocs := testing.AllocsPerRun(1, func() { Decompose(a) })
+	if allocs > 96 {
+		t.Errorf("96x1008 Decompose made %v allocations, want <= 96", allocs)
+	}
+	t.Logf("96x1008 Decompose: %v allocations", allocs)
+}

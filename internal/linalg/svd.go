@@ -30,41 +30,54 @@ const jacobiTol = 1e-12
 // rotations. One-sided Jacobi orthogonalizes the columns of a working copy
 // of A while accumulating the rotations into V; the column norms become the
 // singular values and the normalized columns become U.
+//
+// The working matrix and V are held as per-column slices of one flat
+// backing array each, so the rotation loop runs over contiguous memory and
+// allocates nothing.
 func Decompose(a *tensor.Tensor) SVD {
 	if a.Dims() != 2 {
 		panic("linalg: Decompose requires a 2-D tensor")
 	}
 	m, n := a.Dim(0), a.Dim(1)
-	transposed := false
-	work := a.Clone()
-	if m < n {
+	ad := a.Data()
+	transposed := m < n
+	if transposed {
 		// One-sided Jacobi wants tall matrices; decompose A^T and swap U/V.
-		work = tensor.Transpose(work)
 		m, n = n, m
-		transposed = true
 	}
-
-	// cols[j] is column j of the working matrix (length m).
+	// cols[j] is column j of the working matrix (length m). Column j of
+	// A^T is row j of A, so in the transposed case the rows copy straight
+	// in.
+	work := make([]float64, m*n)
 	cols := make([][]float64, n)
-	for j := 0; j < n; j++ {
-		cols[j] = make([]float64, m)
-		for i := 0; i < m; i++ {
-			cols[j][i] = work.At(i, j)
+	for j := range cols {
+		cj := work[j*m : (j+1)*m : (j+1)*m]
+		if transposed {
+			copy(cj, ad[j*m:(j+1)*m])
+		} else {
+			for i := range cj {
+				cj[i] = ad[i*n+j]
+			}
 		}
+		cols[j] = cj
 	}
-	// v accumulates right rotations; starts as identity (n×n).
-	v := tensor.New(n, n)
-	for i := 0; i < n; i++ {
-		v.Set(1, i, i)
+	// vcols[j] is column j of V, which accumulates the right rotations and
+	// starts as the n×n identity.
+	vcols := make([][]float64, n)
+	vwork := make([]float64, n*n)
+	for j := range vcols {
+		vcols[j] = vwork[j*n : (j+1)*n : (j+1)*n]
+		vcols[j][j] = 1
 	}
 
 	for sweep := 0; sweep < jacobiSweeps; sweep++ {
 		converged := true
 		for p := 0; p < n-1; p++ {
+			cp, vp := cols[p][:m], vcols[p][:n]
 			for q := p + 1; q < n; q++ {
+				cq := cols[q][:len(cp)]
 				alpha, beta, gamma := 0.0, 0.0, 0.0
-				cp, cq := cols[p], cols[q]
-				for i := 0; i < m; i++ {
+				for i := range cp {
 					alpha += cp[i] * cp[i]
 					beta += cq[i] * cq[i]
 					gamma += cp[i] * cq[i]
@@ -76,15 +89,16 @@ func Decompose(a *tensor.Tensor) SVD {
 					t := math.Copysign(1, zeta) / (math.Abs(zeta) + math.Sqrt(1+zeta*zeta))
 					c := 1 / math.Sqrt(1+t*t)
 					s := c * t
-					for i := 0; i < m; i++ {
+					for i := range cp {
 						tmp := cp[i]
 						cp[i] = c*tmp - s*cq[i]
 						cq[i] = s*tmp + c*cq[i]
 					}
-					for i := 0; i < n; i++ {
-						tmp := v.At(i, p)
-						v.Set(c*tmp-s*v.At(i, q), i, p)
-						v.Set(s*tmp+c*v.At(i, q), i, q)
+					vq := vcols[q][:len(vp)]
+					for i := range vp {
+						tmp := vp[i]
+						vp[i] = c*tmp - s*vq[i]
+						vq[i] = s*tmp + c*vq[i]
 					}
 				}
 			}
@@ -94,21 +108,14 @@ func Decompose(a *tensor.Tensor) SVD {
 		}
 	}
 
-	// Extract singular values and left vectors.
+	// Extract singular values: the column norms.
 	s := make([]float64, n)
-	u := tensor.New(m, n)
-	for j := 0; j < n; j++ {
+	for j, cj := range cols {
 		norm := 0.0
-		for i := 0; i < m; i++ {
-			norm += cols[j][i] * cols[j][i]
+		for _, x := range cj {
+			norm += x * x
 		}
-		norm = math.Sqrt(norm)
-		s[j] = norm
-		if norm > 0 {
-			for i := 0; i < m; i++ {
-				u.Set(cols[j][i]/norm, i, j)
-			}
-		}
+		s[j] = math.Sqrt(norm)
 	}
 
 	// Sort by descending singular value (simple selection sort; n is small).
@@ -125,16 +132,22 @@ func Decompose(a *tensor.Tensor) SVD {
 		}
 		order[i], order[best] = order[best], order[i]
 	}
+	// Scatter the sorted columns into row-major U (normalized working
+	// columns; a zero column stays zero) and V.
 	sortedS := make([]float64, n)
 	sortedU := tensor.New(m, n)
 	sortedV := tensor.New(n, n)
+	ud, vd := sortedU.Data(), sortedV.Data()
 	for newJ, oldJ := range order {
-		sortedS[newJ] = s[oldJ]
-		for i := 0; i < m; i++ {
-			sortedU.Set(u.At(i, oldJ), i, newJ)
+		norm := s[oldJ]
+		sortedS[newJ] = norm
+		if norm > 0 {
+			for i, x := range cols[oldJ] {
+				ud[i*n+newJ] = x / norm
+			}
 		}
-		for i := 0; i < n; i++ {
-			sortedV.Set(v.At(i, oldJ), i, newJ)
+		for i, x := range vcols[oldJ] {
+			vd[i*n+newJ] = x
 		}
 	}
 
@@ -146,11 +159,13 @@ func Decompose(a *tensor.Tensor) SVD {
 
 // Reconstruct returns U * diag(S) * V^T.
 func (d SVD) Reconstruct() *tensor.Tensor {
-	r := len(d.S)
+	r, stride := len(d.S), d.U.Dim(1)
 	us := d.U.Clone()
+	ud := us.Data()
 	for i := 0; i < us.Dim(0); i++ {
-		for j := 0; j < r; j++ {
-			us.Set(us.At(i, j)*d.S[j], i, j)
+		row := ud[i*stride : i*stride+r]
+		for j := range row {
+			row[j] *= d.S[j]
 		}
 	}
 	return tensor.MatMul(us, tensor.Transpose(d.V))
@@ -161,20 +176,18 @@ func (d SVD) Truncate(k int) SVD {
 	if k >= len(d.S) {
 		return d
 	}
-	m, n := d.U.Dim(0), d.V.Dim(0)
-	u := tensor.New(m, k)
-	v := tensor.New(n, k)
-	for i := 0; i < m; i++ {
-		for j := 0; j < k; j++ {
-			u.Set(d.U.At(i, j), i, j)
-		}
+	return SVD{U: leadingColumns(d.U, k), S: append([]float64(nil), d.S[:k]...), V: leadingColumns(d.V, k)}
+}
+
+// leadingColumns returns the first k columns of the 2-D tensor a.
+func leadingColumns(a *tensor.Tensor, k int) *tensor.Tensor {
+	rows, cols := a.Dim(0), a.Dim(1)
+	out := tensor.New(rows, k)
+	ad, od := a.Data(), out.Data()
+	for i := 0; i < rows; i++ {
+		copy(od[i*k:(i+1)*k], ad[i*cols:i*cols+k])
 	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < k; j++ {
-			v.Set(d.V.At(i, j), i, j)
-		}
-	}
-	return SVD{U: u, S: append([]float64(nil), d.S[:k]...), V: v}
+	return out
 }
 
 // LowRankFactors returns matrices (A1, A2) with A ≈ A1*A2, where A1 is
@@ -183,17 +196,19 @@ func (d SVD) Truncate(k int) SVD {
 // The singular values are split evenly (sqrt) across the two factors to
 // balance their dynamic ranges for later quantization.
 func (d SVD) LowRankFactors(k int) (*tensor.Tensor, *tensor.Tensor) {
-	t := d.Truncate(k)
-	m, n := t.U.Dim(0), t.V.Dim(0)
+	m, n := d.U.Dim(0), d.V.Dim(0)
+	ur, vr := d.U.Dim(1), d.V.Dim(1)
 	a1 := tensor.New(m, k)
 	a2 := tensor.New(k, n)
+	ud, vd, a1d, a2d := d.U.Data(), d.V.Data(), a1.Data(), a2.Data()
 	for j := 0; j < k; j++ {
-		root := math.Sqrt(t.S[j])
+		root := math.Sqrt(d.S[j])
 		for i := 0; i < m; i++ {
-			a1.Set(t.U.At(i, j)*root, i, j)
+			a1d[i*k+j] = ud[i*ur+j] * root
 		}
-		for i := 0; i < n; i++ {
-			a2.Set(t.V.At(i, j)*root, j, i)
+		row := a2d[j*n : (j+1)*n]
+		for i := range row {
+			row[i] = vd[i*vr+j] * root
 		}
 	}
 	return a1, a2

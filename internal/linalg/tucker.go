@@ -138,17 +138,10 @@ func HOOI(x *tensor.Tensor, ranks []int) Tucker {
 // (m.Dim(0), k) matrix.
 func leadingLeftVectors(m *tensor.Tensor, k int) *tensor.Tensor {
 	d := Decompose(m)
-	rows := m.Dim(0)
 	if k > len(d.S) {
 		k = len(d.S)
 	}
-	out := tensor.New(rows, k)
-	for i := 0; i < rows; i++ {
-		for j := 0; j < k; j++ {
-			out.Set(d.U.At(i, j), i, j)
-		}
-	}
-	return out
+	return leadingColumns(d.U, k)
 }
 
 // Reconstruct expands the Tucker decomposition back to a full tensor.

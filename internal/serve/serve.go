@@ -53,6 +53,11 @@ type Options struct {
 // DefaultMaxDevices caps a single job's fleet size.
 const DefaultMaxDevices = 1_000_000
 
+// maxSpecBytes caps the size of a POST /jobs body. A spec is a few
+// hundred bytes of JSON; even a long replayed harvest trace fits with
+// room to spare, and anything larger is refused before it is decoded.
+const maxSpecBytes = 1 << 20
+
 // DefaultMaxFinishedJobs is the terminal-job retention bound. A retained
 // terminal job costs O(summary) — its campaign's shard aggregates are
 // dropped at finalization — so the server's footprint stays bounded no
@@ -382,10 +387,14 @@ func (j *job) doc(deduped bool) jobDoc {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec fleet.Spec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeErr(w, http.StatusBadRequest, "decoding spec: %v", err)
+		code := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, code, "decoding spec: %v", err)
 		return
 	}
 	if spec.Devices > s.opt.MaxDevices {

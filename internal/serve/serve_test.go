@@ -601,6 +601,37 @@ func TestServeRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// TestServeRejectsOversizedBody: a POST /jobs body over maxSpecBytes is
+// refused with 413 without being decoded, and the server keeps serving.
+func TestServeRejectsOversizedBody(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	body := `{"devices": 10, "models": ["` + strings.Repeat("x", maxSpecBytes) + `"]}`
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Error string `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body: status %d, want %d", resp.StatusCode, http.StatusRequestEntityTooLarge)
+	}
+	if !strings.Contains(doc.Error, "too large") {
+		t.Errorf("oversized body: error %q does not say the body is too large", doc.Error)
+	}
+	d, code := postSpec(t, ts, tinySpec(10))
+	if code != http.StatusAccepted {
+		t.Fatalf("submit after oversized body: status %d", code)
+	}
+	if got := waitStatus(t, ts, d.ID, StatusDone); got.Done != 10 {
+		t.Errorf("job after oversized body finished %d/10 devices", got.Done)
+	}
+}
+
 // TestServeHealthz sanity-checks the liveness endpoint shape.
 func TestServeHealthz(t *testing.T) {
 	_, ts := newTestServer(t, Options{})

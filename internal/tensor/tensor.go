@@ -58,19 +58,30 @@ func (t *Tensor) Len() int { return len(t.data) }
 // Data returns the underlying storage. Mutations are visible in the tensor.
 func (t *Tensor) Data() []float64 { return t.data }
 
-// offset converts a multi-index to a flat offset.
+// offset converts a multi-index to a flat offset. idx must not escape: At
+// and Set pass their variadic index here, and an escaping index would
+// heap-allocate on every element access.
 func (t *Tensor) offset(idx []int) int {
 	if len(idx) != len(t.shape) {
-		panic(fmt.Sprintf("tensor: index %v has wrong arity for shape %v", idx, t.shape))
+		panicIndex(idx, "has wrong arity for", t.shape)
 	}
 	off := 0
 	for i, x := range idx {
 		if x < 0 || x >= t.shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", idx, t.shape))
+			panicIndex(idx, "out of range for", t.shape)
 		}
 		off = off*t.shape[i] + x
 	}
 	return off
+}
+
+// panicIndex reports a bad multi-index. It formats copies of idx and shape
+// so that neither escapes from the caller.
+//
+//go:noinline
+func panicIndex(idx []int, what string, shape []int) {
+	panic(fmt.Sprintf("tensor: index %v %s shape %v",
+		append([]int(nil), idx...), what, append([]int(nil), shape...)))
 }
 
 // At returns the element at the given multi-index.

@@ -28,15 +28,48 @@ func TestNewAndIndexing(t *testing.T) {
 
 func TestIndexPanics(t *testing.T) {
 	a := New(2, 2)
-	for _, idx := range [][]int{{2, 0}, {0, -1}, {0, 0, 0}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("expected panic for index %v", idx)
+	for _, tc := range []struct {
+		idx  []int
+		want string
+	}{
+		{[]int{2, 0}, "tensor: index [2 0] out of range for shape [2 2]"},
+		{[]int{0, -1}, "tensor: index [0 -1] out of range for shape [2 2]"},
+		{[]int{0, 0, 0}, "tensor: index [0 0 0] has wrong arity for shape [2 2]"},
+		{[]int{1}, "tensor: index [1] has wrong arity for shape [2 2]"},
+	} {
+		for _, op := range []string{"At", "Set"} {
+			func() {
+				defer func() {
+					r := recover()
+					if r == nil {
+						t.Errorf("%s: expected panic for index %v", op, tc.idx)
+						return
+					}
+					if msg, _ := r.(string); msg != tc.want {
+						t.Errorf("%s%v panic = %q, want %q", op, tc.idx, r, tc.want)
+					}
+				}()
+				if op == "At" {
+					a.At(tc.idx...)
+				} else {
+					a.Set(1, tc.idx...)
 				}
 			}()
-			a.At(idx...)
-		}()
+		}
+	}
+}
+
+// TestIndexingAllocFree guards the cold-path numerics: element access must
+// not heap-allocate its variadic index.
+func TestIndexingAllocFree(t *testing.T) {
+	a := New(3, 4, 5)
+	i, j, k := 2, 3, 4
+	sum := 0.0
+	if n := testing.AllocsPerRun(100, func() { sum += a.At(i, j, k) }); n != 0 {
+		t.Errorf("At allocates %v times per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { a.Set(sum, i, j, k) }); n != 0 {
+		t.Errorf("Set allocates %v times per call, want 0", n)
 	}
 }
 
