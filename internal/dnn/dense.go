@@ -41,17 +41,34 @@ func (l *Dense) OutShape(in Shape) (Shape, error) {
 	return Shape{1, 1, l.Out}, nil
 }
 
+// Forward computes four output rows per pass over x; each row keeps its
+// own left-to-right sum starting at its bias.
 func (l *Dense) Forward(x *tensor.Tensor) *tensor.Tensor {
 	l.inCache = x
-	xd := x.Data()
+	in := l.In
+	xd := x.Data()[:in]
 	out := scratch(&l.outBuf, 1, 1, l.Out)
-	od := out.Data()
-	wd := l.W.Data()
-	for o := 0; o < l.Out; o++ {
-		row := wd[o*l.In : (o+1)*l.In]
-		s := l.B.Data()[o]
-		for i, w := range row {
-			s += w * xd[i]
+	od, wd, bd := out.Data(), l.W.Data(), l.B.Data()
+	o := 0
+	for ; o+4 <= l.Out; o += 4 {
+		r0 := wd[o*in:][:in]
+		r1 := wd[(o+1)*in:][:in]
+		r2 := wd[(o+2)*in:][:in]
+		r3 := wd[(o+3)*in:][:in]
+		s0, s1, s2, s3 := bd[o], bd[o+1], bd[o+2], bd[o+3]
+		for i, xv := range xd {
+			s0 += r0[i] * xv
+			s1 += r1[i] * xv
+			s2 += r2[i] * xv
+			s3 += r3[i] * xv
+		}
+		od[o], od[o+1], od[o+2], od[o+3] = s0, s1, s2, s3
+	}
+	for ; o < l.Out; o++ {
+		row := wd[o*in:][:in]
+		s := bd[o]
+		for i, xv := range xd {
+			s += row[i] * xv
 		}
 		od[o] = s
 	}

@@ -173,7 +173,8 @@ func (p *MaxPool) ParamCount() int          { return 0 }
 
 // Flatten reshapes a volume into a vector; data layout is unchanged.
 type Flatten struct {
-	inShape Shape
+	inShape       Shape
+	outBuf, dxBuf *tensor.Tensor // reused views, see view
 }
 
 // NewFlatten returns a flattening layer.
@@ -185,11 +186,11 @@ func (f *Flatten) OutShape(in Shape) (Shape, error) { return in.Flat(), nil }
 
 func (f *Flatten) Forward(x *tensor.Tensor) *tensor.Tensor {
 	f.inShape = Shape{x.Dim(0), x.Dim(1), x.Dim(2)}
-	return x.Reshape(1, 1, x.Len())
+	return view(&f.outBuf, x, 1, 1, x.Len())
 }
 
 func (f *Flatten) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	return dy.Reshape(f.inShape[0], f.inShape[1], f.inShape[2])
+	return view(&f.dxBuf, dy, f.inShape[0], f.inShape[1], f.inShape[2])
 }
 
 func (f *Flatten) Params() []*tensor.Tensor { return nil }

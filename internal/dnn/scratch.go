@@ -18,11 +18,15 @@ import "repro/internal/tensor"
 // scratch returns a tensor with the given shape for a Forward/Backward
 // result, reusing *buf when its shape already matches. The contents are
 // unspecified: callers must fully overwrite every element.
+//
+// dims is copied before it reaches tensor.New (whose panic path lets its
+// argument escape), so the caller's variadic slice stays on the stack and
+// a reused buffer costs no allocation.
 func scratch(buf **tensor.Tensor, dims ...int) *tensor.Tensor {
 	if t := *buf; t != nil && sameShape(t, dims) {
 		return t
 	}
-	t := tensor.New(dims...)
+	t := tensor.New(append([]int(nil), dims...)...)
 	*buf = t
 	return t
 }
@@ -34,7 +38,18 @@ func scratchZero(buf **tensor.Tensor, dims ...int) *tensor.Tensor {
 		t.Zero()
 		return t
 	}
-	t := tensor.New(dims...)
+	t := tensor.New(append([]int(nil), dims...)...)
+	*buf = t
+	return t
+}
+
+// view returns src reshaped to dims, reusing *buf when it is already that
+// view of src's storage.
+func view(buf **tensor.Tensor, src *tensor.Tensor, dims ...int) *tensor.Tensor {
+	if t := *buf; t != nil && &t.Data()[0] == &src.Data()[0] && t.Len() == src.Len() && sameShape(t, dims) {
+		return t
+	}
+	t := src.Reshape(append([]int(nil), dims...)...)
 	*buf = t
 	return t
 }

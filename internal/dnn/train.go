@@ -35,26 +35,52 @@ func NewSGD(lr, momentum float64) *SGD {
 
 // Step applies accumulated gradients to the network's parameters and clears
 // them.
-func (o *SGD) Step(n *Network) {
+func (o *SGD) Step(n *Network) { o.step(o.plan(n)) }
+
+// sgdPlan is what one Step touches: every parameter with its gradient and
+// velocity, and the conv layers whose pruning masks it re-applies. Train
+// builds it once per run; the layers cannot change under it there.
+type sgdPlan struct {
+	slots []sgdSlot
+	convs []*Conv
+}
+
+type sgdSlot struct{ p, g, v []float64 }
+
+func (o *SGD) plan(n *Network) sgdPlan {
+	var pl sgdPlan
 	for _, l := range n.Layers {
 		params, grads := l.Params(), l.Grads()
 		for i, p := range params {
-			g := grads[i]
 			v, ok := o.velocity[p]
 			if !ok {
 				v = tensor.New(p.Shape()...)
 				o.velocity[p] = v
 			}
-			vd, pd, gd := v.Data(), p.Data(), g.Data()
-			for j := range pd {
-				vd[j] = o.Momentum*vd[j] - o.LR*gd[j]
-				pd[j] += vd[j]
-				gd[j] = 0
-			}
+			pl.slots = append(pl.slots, sgdSlot{p: p.Data(), g: grads[i].Data(), v: v.Data()})
 		}
 		if c, ok := l.(*Conv); ok {
-			c.ApplyMask()
+			pl.convs = append(pl.convs, c)
 		}
+	}
+	return pl
+}
+
+func (o *SGD) step(pl sgdPlan) {
+	m, lr := o.Momentum, o.LR
+	for _, sl := range pl.slots {
+		pd := sl.p
+		vd, gd := sl.v[:len(pd)], sl.g[:len(pd)]
+		for j := range pd {
+			vd[j] = m*vd[j] - lr*gd[j]
+			pd[j] += vd[j]
+			gd[j] = 0
+		}
+	}
+	// A mask touches only its own layer's weights, so applying every mask
+	// after every update is the same as masking each layer as it is done.
+	for _, c := range pl.convs {
+		c.ApplyMask()
 	}
 }
 
@@ -123,6 +149,7 @@ func Train(n *Network, ds *dataset.Dataset, cfg TrainConfig) float64 {
 	classes := n.NumClasses()
 	grad := make([]float64, classes)
 	dyBuf := tensor.New(1, 1, classes)
+	plan := opt.plan(n)
 	lastLoss := math.NaN()
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
@@ -137,10 +164,18 @@ func Train(n *Network, ds *dataset.Dataset, cfg TrainConfig) float64 {
 			total += SoftmaxCrossEntropy(logits, ex.Label, grad)
 			copy(dyBuf.Data(), grad)
 			dy := dyBuf
-			for li := len(n.Layers) - 1; li >= 0; li-- {
+			for li := len(n.Layers) - 1; li > 0; li-- {
 				dy = n.Layers[li].Backward(dy)
 			}
-			opt.Step(n)
+			// Nothing reads the first layer's input gradient.
+			if len(n.Layers) > 0 {
+				if c, ok := n.Layers[0].(*Conv); ok {
+					c.backwardParams(dy)
+				} else {
+					n.Layers[0].Backward(dy)
+				}
+			}
+			opt.step(plan)
 		}
 		lastLoss = total / float64(len(samples))
 		epochsRun.Add(1)

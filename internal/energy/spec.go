@@ -27,6 +27,10 @@ type SystemSpec struct {
 	Trace []float64 `json:"trace,omitempty"`
 }
 
+// maxUsablePJ bounds a capacitor's usable charge in picojoules: up to 2^53
+// every integer picojoule figure is an exact float64.
+const maxUsablePJ = 1 << 53
+
 // Validate reports whether the spec describes a constructible system,
 // without constructing it. NaN and infinite parameters are rejected; a NaN
 // would otherwise slip past every ordered comparison below.
@@ -50,6 +54,13 @@ func (s SystemSpec) Validate() error {
 	}
 	if s.CapFarads <= 0 {
 		return fmt.Errorf("energy: %q spec needs a positive capacitor, got %v", s.Kind, s.CapFarads)
+	}
+	// The capacitor accounts its charge in integer picojoules; past
+	// maxUsablePJ (about 6e4 F) the conversion is inexact, and it soon
+	// overflows int64.
+	if pj := CapBank(s.CapFarads).UsableNJ() * 1000; pj > maxUsablePJ {
+		return fmt.Errorf("energy: %q spec capacitor %v F stores %.3g pJ, above the %.3g pJ limit",
+			s.Kind, s.CapFarads, pj, float64(maxUsablePJ))
 	}
 	if s.Kind == "trace" {
 		_, err := NewTraceHarvester(s.Trace)

@@ -69,6 +69,28 @@ func TestSystemSpecRejectsNonFinite(t *testing.T) {
 	}
 }
 
+// TestSystemSpecRejectsHugeCapacitor pins the picojoule budget bound: a
+// capacitor whose usable charge overflows the integer accounting is
+// rejected, while the paper's three sizes are accepted.
+func TestSystemSpecRejectsHugeCapacitor(t *testing.T) {
+	for _, farads := range []float64{1e300, 1e6, 7e4} {
+		s := SystemSpec{Kind: "const", CapFarads: farads}
+		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "pJ limit") {
+			t.Errorf("%v F: Validate() = %v, want a pJ limit error", farads, err)
+		}
+		if _, err := s.New(1); err == nil {
+			t.Errorf("%v F: New accepted the spec", farads)
+		}
+	}
+	for _, farads := range []float64{100e-6, 1e-3, 50e-3, 6e4} {
+		for _, kind := range []string{"const", "stoch", "solar"} {
+			if err := (SystemSpec{Kind: kind, CapFarads: farads}).Validate(); err != nil {
+				t.Errorf("%s %v F: %v", kind, farads, err)
+			}
+		}
+	}
+}
+
 // TestSystemSpecDeterministicPerSeed pins the fleet contract: equal
 // (spec, seed) pairs yield systems with identical consume/recharge
 // behavior, and stochastic kinds diverge across seeds.

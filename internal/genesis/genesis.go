@@ -180,41 +180,62 @@ func Run(opts Options) (*Report, error) {
 	report := &Report{Options: opts, Dataset: ds.String(), Chosen: -1}
 	configs := opts.Configs()
 	report.Results = make([]Result, len(configs))
+	// Every config starts from a private decode of the trained base (Clone
+	// is itself an Encode/Decode round-trip). A separation depends only on
+	// the base and the rank fraction, so it runs once per distinct
+	// RankFrac and the configs sharing it decode its encoding. Results land
+	// at their config's index, and every per-example reduction is an
+	// order-independent integer count, so the parallel report is
+	// bit-identical to the ForceSerial one — see
+	// TestGenesisParallelDeterministic.
+	var raw bytes.Buffer
+	if err := base.Encode(&raw); err != nil {
+		return nil, err
+	}
+	blob := raw.Bytes()
+	seps := make(map[float64]*separation)
+	for _, c := range configs {
+		if c.separates() && seps[c.RankFrac] == nil {
+			seps[c.RankFrac] = &separation{}
+		}
+	}
+	evaluate := func(i, evalWorkers int) {
+		c := configs[i]
+		start := blob
+		if c.separates() {
+			b, err := seps[c.RankFrac].encoded(blob, c)
+			if err != nil {
+				report.Results[i] = Result{Config: c, Err: fmt.Sprintf("apply: %v", err)}
+				return
+			}
+			start = b
+		}
+		n, err := dnn.Decode(bytes.NewReader(start))
+		if err != nil {
+			report.Results[i] = Result{Config: c, Err: fmt.Sprintf("clone: %v", err)}
+			return
+		}
+		report.Results[i] = evaluateSeparated(n, ds, c, opts, evalWorkers)
+	}
 	if opts.ForceSerial {
-		for i, c := range configs {
-			report.Results[i] = evaluateClone(base.Clone(), ds, c, opts, 1)
+		for i := range configs {
+			evaluate(i, 1)
 		}
 	} else {
-		// Each worker evaluates on a private decode of the trained base
-		// (Clone is itself an Encode/Decode round-trip, so a decoded copy
-		// is exactly what the serial path's Clone produces). Results land
-		// at their config's index, and every per-example reduction is an
-		// order-independent integer count, so the report is bit-identical
-		// to the ForceSerial path — see TestGenesisParallelDeterministic.
-		var raw bytes.Buffer
-		if err := base.Encode(&raw); err != nil {
-			return nil, err
-		}
-		blob := raw.Bytes()
 		workers := opts.Workers
 		if workers <= 0 {
 			workers = runtime.GOMAXPROCS(0)
 		}
 		sem := make(chan struct{}, workers)
 		var wg sync.WaitGroup
-		for i, c := range configs {
+		for i := range configs {
 			wg.Add(1)
 			sem <- struct{}{}
-			go func(i int, c Config) {
+			go func(i int) {
 				defer wg.Done()
 				defer func() { <-sem }()
-				n, err := dnn.Decode(bytes.NewReader(blob))
-				if err != nil {
-					report.Results[i] = Result{Config: c, Err: fmt.Sprintf("clone: %v", err)}
-					return
-				}
-				report.Results[i] = evaluateClone(n, ds, c, opts, 0)
-			}(i, c)
+				evaluate(i, 0)
+			}(i)
 		}
 		wg.Wait()
 	}
@@ -247,12 +268,38 @@ func (o Options) Configs() []Config {
 	return out
 }
 
-// evaluateClone applies a configuration to an already-private copy of the
-// trained base network (the caller hands over ownership), fine-tunes,
-// quantizes, measures, and scores it. evalWorkers is passed through to the
-// sharded accuracy/confusion passes (1 = fully serial, 0 = auto).
-func evaluateClone(n *dnn.Network, ds *dataset.Dataset, c Config, opts Options, evalWorkers int) Result {
-	if err := Apply(n, c); err != nil {
+// separation is the trained base separated at one rank fraction, computed
+// on first use and shared, encoded, by every config with that fraction.
+type separation struct {
+	once sync.Once
+	blob []byte
+	err  error
+}
+
+// encoded returns the encoding of the base (given as its encoding)
+// separated as c prescribes, separating on the first call only.
+func (s *separation) encoded(base []byte, c Config) ([]byte, error) {
+	s.once.Do(func() {
+		n, err := dnn.Decode(bytes.NewReader(base))
+		if err == nil {
+			err = separate(n, c)
+		}
+		var buf bytes.Buffer
+		if err == nil {
+			err = n.Encode(&buf)
+		}
+		s.blob, s.err = buf.Bytes(), err
+	})
+	return s.blob, s.err
+}
+
+// evaluateSeparated finishes applying a configuration to an
+// already-private network that has been separated as c prescribes (the
+// caller hands over ownership): it prunes, fine-tunes, quantizes,
+// measures, and scores it. evalWorkers is passed through to the sharded
+// confusion pass (1 = fully serial, 0 = auto).
+func evaluateSeparated(n *dnn.Network, ds *dataset.Dataset, c Config, opts Options, evalWorkers int) Result {
+	if err := prune(n, c); err != nil {
 		return Result{Config: c, Err: fmt.Sprintf("apply: %v", err)}
 	}
 	if opts.FineTuneEpochs > 0 && c.Technique != TechNone {
@@ -273,8 +320,8 @@ func evaluateClone(n *dnn.Network, ds *dataset.Dataset, c Config, opts Options, 
 // the IMpJ application model.
 func evaluateNetwork(n *dnn.Network, ds *dataset.Dataset, opts Options, evalWorkers int) Result {
 	var res Result
-	res.Accuracy = dnn.EvaluateWorkers(n, ds.Test, evalWorkers)
 	conf := dnn.ConfusionWorkers(n, ds.Test, ds.NumClasses, evalWorkers)
+	res.Accuracy = accuracy(conf, len(ds.Test))
 	res.TP, res.TN = dnn.BinaryRates(conf, opts.Interesting)
 	res.MACs = n.MACs()
 
@@ -318,62 +365,79 @@ func evaluateNetwork(n *dnn.Network, ds *dataset.Dataset, opts Options, evalWork
 	return res
 }
 
+// accuracy is the top-1 accuracy a confusion matrix over n examples
+// records: its diagonal over n, and 0 for no examples, as dnn.Evaluate.
+func accuracy(conf [][]int, n int) float64 {
+	if n == 0 {
+		return 0
+	}
+	correct := 0
+	for i, row := range conf {
+		correct += row[i]
+	}
+	return float64(correct) / float64(n)
+}
+
 // Apply transforms a network in place according to a configuration.
 // Separation runs first (back to front so indices stay valid), then
 // pruning on the resulting layers. Classifier (final) fully-connected
 // layers are never compressed, and tiny layers are skipped.
 func Apply(n *dnn.Network, c Config) error {
-	sep := c.Technique == TechSeparate || c.Technique == TechBoth
-	prune := c.Technique == TechPrune || c.Technique == TechBoth
-
-	lastFC := -1
-	for i := len(n.Layers) - 1; i >= 0; i-- {
-		if n.Layers[i].Kind() == "dense" {
-			lastFC = i
-			break
-		}
+	if err := separate(n, c); err != nil {
+		return err
 	}
+	return prune(n, c)
+}
 
-	if sep && c.RankFrac < 1 {
-		for i := len(n.Layers) - 1; i >= 0; i-- {
-			switch l := n.Layers[i].(type) {
-			case *dnn.Conv:
-				if l.W.Len() < 64 {
-					continue
+// separates reports whether c changes the network's structure by
+// separation (as opposed to only pruning it, or leaving it alone).
+func (c Config) separates() bool {
+	return (c.Technique == TechSeparate || c.Technique == TechBoth) && c.RankFrac < 1
+}
+
+// separate is Apply's first phase: it factorizes every large layer except
+// the classifier at c's rank fraction, back to front.
+func separate(n *dnn.Network, c Config) error {
+	if !c.separates() {
+		return nil
+	}
+	lastFC := lastDenseIndex(n)
+	for i := len(n.Layers) - 1; i >= 0; i-- {
+		switch l := n.Layers[i].(type) {
+		case *dnn.Conv:
+			if l.W.Len() < 64 {
+				continue
+			}
+			if l.C == 1 {
+				full := minInt(l.C*l.KH, l.F*l.KW)
+				if err := compress.SeparateConvSpatial(n, i, scaleRank(full, c.RankFrac)); err != nil {
+					return err
 				}
-				if l.C == 1 {
-					full := minInt(l.C*l.KH, l.F*l.KW)
-					if err := compress.SeparateConvSpatial(n, i, scaleRank(full, c.RankFrac)); err != nil {
-						return err
-					}
-				} else {
-					rf := scaleRank(l.F, c.RankFrac)
-					rc := scaleRank(l.C, c.RankFrac)
-					if err := compress.SeparateConvTucker2(n, i, rf, rc); err != nil {
-						return err
-					}
-				}
-			case *dnn.Dense:
-				if i == lastFC || l.Out*l.In < 1024 {
-					continue
-				}
-				full := minInt(l.Out, l.In)
-				if err := compress.SeparateDense(n, i, scaleRank(full, c.RankFrac)); err != nil {
+			} else {
+				rf := scaleRank(l.F, c.RankFrac)
+				rc := scaleRank(l.C, c.RankFrac)
+				if err := compress.SeparateConvTucker2(n, i, rf, rc); err != nil {
 					return err
 				}
 			}
-		}
-		// Recompute the classifier index after insertions.
-		lastFC = -1
-		for i := len(n.Layers) - 1; i >= 0; i-- {
-			if n.Layers[i].Kind() == "dense" {
-				lastFC = i
-				break
+		case *dnn.Dense:
+			if i == lastFC || l.Out*l.In < 1024 {
+				continue
+			}
+			full := minInt(l.Out, l.In)
+			if err := compress.SeparateDense(n, i, scaleRank(full, c.RankFrac)); err != nil {
+				return err
 			}
 		}
 	}
+	return nil
+}
 
-	if prune && c.PruneLevel > 0 {
+// prune is Apply's second phase: it prunes every large layer except the
+// classifier at c's pruning level, then validates the network.
+func prune(n *dnn.Network, c Config) error {
+	if (c.Technique == TechPrune || c.Technique == TechBoth) && c.PruneLevel > 0 {
+		lastFC := lastDenseIndex(n)
 		for i := len(n.Layers) - 1; i >= 0; i-- {
 			switch l := n.Layers[i].(type) {
 			case *dnn.Conv:

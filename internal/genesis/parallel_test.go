@@ -1,7 +1,10 @@
 package genesis
 
 import (
+	"bytes"
+	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/dnn"
@@ -101,5 +104,94 @@ func TestByTechniqueSkipsErrored(t *testing.T) {
 	got := ByTechnique(results, TechPrune)
 	if len(got) != 2 || got[0] != 0 || got[1] != 2 {
 		t.Errorf("ByTechnique = %v, want [0 2]", got)
+	}
+}
+
+// TestSharedSeparationMatchesApply checks the sweep's shared separation: a
+// network decoded from the once-computed separation and then pruned must
+// hold exactly the float bits Apply produces on a private clone, for every
+// config of each network, including configs that separate nothing.
+func TestSharedSeparationMatchesApply(t *testing.T) {
+	for _, net := range []string{"mnist", "har", "okg"} {
+		base, err := dnn.NetworkFor(net, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var raw bytes.Buffer
+		if err := base.Encode(&raw); err != nil {
+			t.Fatal(err)
+		}
+		o := Options{PruneLevels: []float64{0.9}, RankFracs: []float64{0.5}}
+		var sep separation // shared by the sep and both configs
+		for _, c := range o.Configs() {
+			want := base.Clone()
+			if err := Apply(want, c); err != nil {
+				t.Fatalf("%s %s: Apply: %v", net, c.Name(), err)
+			}
+			start := raw.Bytes()
+			if c.separates() {
+				if start, err = sep.encoded(raw.Bytes(), c); err != nil {
+					t.Fatalf("%s %s: separation: %v", net, c.Name(), err)
+				}
+			}
+			got, err := dnn.Decode(bytes.NewReader(start))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := prune(got, c); err != nil {
+				t.Fatalf("%s %s: prune: %v", net, c.Name(), err)
+			}
+			if len(got.Layers) != len(want.Layers) {
+				t.Fatalf("%s %s: %d layers, want %d", net, c.Name(), len(got.Layers), len(want.Layers))
+			}
+			for li := range want.Layers {
+				gp, wp := got.Layers[li].Params(), want.Layers[li].Params()
+				if got.Layers[li].Kind() != want.Layers[li].Kind() || len(gp) != len(wp) {
+					t.Fatalf("%s %s: layer %d differs in kind or params", net, c.Name(), li)
+				}
+				for pi := range wp {
+					g, w := gp[pi].Data(), wp[pi].Data()
+					if len(g) != len(w) {
+						t.Fatalf("%s %s: layer %d param %d length %d, want %d", net, c.Name(), li, pi, len(g), len(w))
+					}
+					for i := range w {
+						if math.Float64bits(g[i]) != math.Float64bits(w[i]) {
+							t.Fatalf("%s %s: layer %d param %d[%d] = %v, want %v", net, c.Name(), li, pi, i, g[i], w[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSharedSeparationConcurrent has several goroutines ask one shared
+// separation for its encoding at once, as the sweep's workers do: all must
+// get the same bytes, from a single separation.
+func TestSharedSeparationConcurrent(t *testing.T) {
+	var raw bytes.Buffer
+	if err := dnn.HARNet(1).Encode(&raw); err != nil {
+		t.Fatal(err)
+	}
+	c := Config{Technique: TechSeparate, RankFrac: 0.5}
+	var s separation
+	got := make([][]byte, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			b, err := s.encoded(raw.Bytes(), c)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = b
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if !bytes.Equal(got[i], got[0]) || &got[i][0] != &got[0][0] {
+			t.Fatalf("goroutine %d got a different separation", i)
+		}
 	}
 }

@@ -12,6 +12,8 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/dnn"
+	"repro/internal/genesis"
 	"repro/internal/linalg"
 	"repro/internal/tensor"
 )
@@ -38,6 +40,36 @@ var coldPathGolden = map[string]string{
 	"tucker-6x4x3":       "0cbe0ecf0927bead627a9b847f2ce41d8286acf5dd7bcc838e93dcd31d2ac63a",
 }
 
+// floatGolden pins the exact float64 bits of every trainable parameter
+// after quick base training of each network and after applying a GENESIS
+// configuration and fine-tuning one epoch. The quantized digests above
+// only see weights after Q15 rounding, so a reordered float operation that
+// happens to round the same would slip past them; these would not. Same
+// rule: captured before the training kernels were rewritten for speed,
+// never regenerated.
+var floatGolden = map[string]string{
+	"train-mnist":                    "465425de3ebae037a2b21f2963dfb981018eaf6de29bea4f0919eea9a61edf49",
+	"train-har":                      "66f9de5edbbc3ef8e3c4af45cfa2b5d71e09550bb8f17b9ccc63e05f1d897d70",
+	"train-okg":                      "c3f554b4c1fb09d978cb28dbf6eb5f15f56719e66e289823396a2b532e70f538",
+	"finetune-mnist-sep-r0.50":       "32bcd2d569c2e2b50d4310766bfb38fc33c0c73cb0e945dccaa572279ca2cacd",
+	"finetune-mnist-both-0.75-r0.50": "d64008fe7cfeaf2935e37ce75ffe28112aa1f3ea70257b9219d14cbf5789a007",
+	"finetune-mnist-prune-0.90":      "a2a29a90d4a36086229543540bc805b22d3e2fab54b910f829673e9e5cf40e84",
+	"finetune-har-sep-r0.50":         "e07ea18b3336a549f2c59c18efb5136c176bbe0ccdd672089a1a7adf661ff199",
+	"finetune-har-both-0.75-r0.50":   "4fe533af52135242ad1f623e8237e0418577f0bd9c1025a56b0644a5539b147b",
+	"finetune-har-prune-0.90":        "0ffcc7045ebeec2fae4901f6fb07eca7aaf40af6cc81cfc2189a6f6066cdb5bf",
+	"finetune-okg-sep-r0.50":         "0265db86415aed98cc8821058c82db1f52cbdaa756ffb564b0b99def47177150",
+	"finetune-okg-both-0.75-r0.50":   "b4c152392656b53c1003c2da788b8ee6252d170a67390d9e48c59d0827b6acba",
+	"finetune-okg-prune-0.90":        "1a9569a78f70705052452eff0fa972ccbcb4d58c699dfc332d29bdca645f3cd2",
+}
+
+// floatGoldenConfigs are the GENESIS configurations the fine-tune goldens
+// apply: separation alone, separation then pruning, and pruning alone.
+var floatGoldenConfigs = []genesis.Config{
+	{Technique: genesis.TechSeparate, RankFrac: 0.5},
+	{Technique: genesis.TechBoth, PruneLevel: 0.75, RankFrac: 0.5},
+	{Technique: genesis.TechPrune, PruneLevel: 0.9, RankFrac: 1},
+}
+
 // TestColdPathGolden hashes every field of every GENESIS Result (plus the
 // encoding of each result's model) for quick seed-1 preparation of each
 // network, and the exact float bits of seeded SVD and HOOI decompositions,
@@ -50,7 +82,11 @@ func TestColdPathGolden(t *testing.T) {
 	}
 	check := func(t *testing.T, name, got string) {
 		t.Helper()
-		if want := coldPathGolden[name]; got != want {
+		want, ok := coldPathGolden[name]
+		if !ok {
+			want = floatGolden[name]
+		}
+		if got != want {
 			t.Errorf("%s digest = %s, want %s (cold-path results changed)", name, got, want)
 		}
 	}
@@ -58,6 +94,50 @@ func TestColdPathGolden(t *testing.T) {
 		t.Run(net, func(t *testing.T) {
 			check(t, net, preparedDigest(t, prepQuick(t, net)))
 		})
+	}
+	for _, net := range Networks() {
+		// The quick sweep's training recipe (genesis.Run and its
+		// per-config fine-tune), replayed step by step so each stage's
+		// float bits can be hashed.
+		opts := genesisOptions(net, PrepareOptions{Seed: 1, Quick: true})
+		ds, err := dnn.DatasetFor(net, opts.Seed, opts.TrainSamples, opts.TestSamples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := dnn.NetworkFor(net, opts.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := dnn.DefaultTrainConfig()
+		cfg.Epochs = opts.Epochs
+		cfg.Seed = opts.Seed
+		cfg.MaxSamplesPerEpoch = opts.MaxSamplesPerEpoch
+		loss := dnn.Train(base, ds, cfg)
+		t.Run("train-"+net, func(t *testing.T) {
+			h := sha256.New()
+			writeFloats(h, []float64{loss})
+			writeParams(h, base)
+			check(t, "train-"+net, hex.EncodeToString(h.Sum(nil)))
+		})
+		for _, c := range floatGoldenConfigs {
+			name := "finetune-" + net + "-" + c.Name()
+			t.Run(name, func(t *testing.T) {
+				n := base.Clone()
+				if err := genesis.Apply(n, c); err != nil {
+					t.Fatal(err)
+				}
+				h := sha256.New()
+				writeParams(h, n)
+				ft := dnn.DefaultTrainConfig()
+				ft.Epochs = opts.FineTuneEpochs
+				ft.LR = 0.001
+				ft.Seed = opts.Seed + 77
+				ft.MaxSamplesPerEpoch = opts.MaxSamplesPerEpoch
+				writeFloats(h, []float64{dnn.Train(n, ds, ft)})
+				writeParams(h, n)
+				check(t, name, hex.EncodeToString(h.Sum(nil)))
+			})
+		}
 	}
 	t.Run("svd-96x1008", func(t *testing.T) {
 		check(t, "svd-96x1008", svdDigest(goldenMatrix(96, 1008, 11)))
@@ -136,6 +216,18 @@ func preparedDigest(t *testing.T, p *Prepared) string {
 	writeFloats(h, p.Input)
 	fmt.Fprintf(h, "label=%d\n", p.Label)
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// writeParams feeds n's layer kinds and the shapes and exact float bits of
+// every Params() tensor to h.
+func writeParams(h hash.Hash, n *dnn.Network) {
+	for i, l := range n.Layers {
+		fmt.Fprintf(h, "%d %s\n", i, l.Kind())
+		for _, p := range l.Params() {
+			fmt.Fprintf(h, "%v\n", p.Shape())
+			writeFloats(h, p.Data())
+		}
+	}
 }
 
 // writeFloats feeds the exact IEEE-754 bits of vs to h.
