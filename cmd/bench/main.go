@@ -436,7 +436,8 @@ func main() {
 
 	// Fleet engine throughput: the same campaign shape the fleet tests
 	// sweep, timed at each worker count with a determinism cross-check
-	// (summaries must be byte-identical across worker counts).
+	// (summaries must be byte-identical across worker counts), on the
+	// interpreted walk.
 	const fleetDevices = 5000
 	fleetModels := map[string]fleet.Model{
 		"tiny": {Net: "tiny", QM: qm, Input: qm.QuantizeInput(x)}}
@@ -450,6 +451,7 @@ func main() {
 			{Name: "stoch-100uF", SystemSpec: energy.SystemSpec{Kind: "stoch", CapFarads: 100e-6}},
 			{Name: "cont", SystemSpec: energy.SystemSpec{Kind: "cont"}},
 		},
+		Interpreted: true,
 	}
 	rep.Fleet.GOMAXPROCS = runtime.GOMAXPROCS(0)
 	rep.Fleet.Devices = fleetDevices
@@ -492,8 +494,9 @@ func main() {
 	// per-device simulation cost. The sweep runs the real evaluation
 	// networks (the tiny fleet above is all fixed per-device overhead,
 	// identical in both executors). The tape campaign must reproduce the
-	// interpreted summary byte-for-byte (Spec.Tape is an executor choice,
-	// not campaign identity) and sweep strictly more devices per second.
+	// interpreted summary byte-for-byte (Spec.Interpreted is an executor
+	// choice, not campaign identity) and sweep strictly more devices per
+	// second.
 	// Paired alternating min-of-K again: each round runs interpreted then
 	// tape under the same machine conditions, and the minima are compared.
 	const realFleetDevices = 600
@@ -512,9 +515,10 @@ func main() {
 			{Name: "rf-100uF", SystemSpec: energy.SystemSpec{Kind: "const", CapFarads: 100e-6}},
 			{Name: "cont", SystemSpec: energy.SystemSpec{Kind: "cont"}},
 		},
+		Interpreted: true,
 	}
 	tapeSpec := realSpec
-	tapeSpec.Tape = true
+	tapeSpec.Interpreted = false
 	fmt.Fprintf(os.Stderr, "bench: fleet campaign interpreted vs tape (%d real-network devices, 1 worker), paired × %d...\n",
 		realFleetDevices, *count)
 	var realSummary []byte

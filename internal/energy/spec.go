@@ -31,6 +31,19 @@ type SystemSpec struct {
 // every integer picojoule figure is an exact float64.
 const maxUsablePJ = 1 << 53
 
+// Harvester parameter bounds. No harvester the model describes delivers
+// more than maxWatts. A stochastic draw scales the mean by
+// exp(n·sigma - sigma²/2), where n comes from math/rand/v2's NormFloat64,
+// whose tail sampler works from 53-bit uniforms and so stays above -13
+// (short of two consecutive zero draws, a 2^-106 event). With
+// sigma <= maxSigma and a mean of at least minWatts the drawn power stays
+// above 1e-35 W, so a recharge does not see zero.
+const (
+	minWatts float64 = 1e-9
+	maxWatts float64 = 10
+	maxSigma float64 = 4
+)
+
 // Validate reports whether the spec describes a constructible system,
 // without constructing it. NaN and infinite parameters are rejected; a NaN
 // would otherwise slip past every ordered comparison below.
@@ -66,8 +79,12 @@ func (s SystemSpec) Validate() error {
 		_, err := NewTraceHarvester(s.Trace)
 		return err
 	}
-	if s.Watts < 0 {
-		return fmt.Errorf("energy: %q spec has negative harvest power %v", s.Kind, s.Watts)
+	if s.Watts != 0 && (s.Watts < minWatts || s.Watts > maxWatts) {
+		return fmt.Errorf("energy: %q spec harvest power %v W is outside [%g, %g] W (0 selects the default)",
+			s.Kind, s.Watts, minWatts, maxWatts)
+	}
+	if s.Sigma < 0 || s.Sigma > maxSigma {
+		return fmt.Errorf("energy: %q spec sigma %v is outside [0, %g]", s.Kind, s.Sigma, maxSigma)
 	}
 	return nil
 }

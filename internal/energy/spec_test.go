@@ -91,6 +91,43 @@ func TestSystemSpecRejectsHugeCapacitor(t *testing.T) {
 	}
 }
 
+// TestSystemSpecBoundsHarvestParameters pins the sigma and watts bounds:
+// a spec outside them is rejected (with sigma 1e6 a stochastic harvester
+// draws zero power, and a recharge at zero power panics), and at the
+// edges of the accepted range every draw is positive and finite.
+func TestSystemSpecBoundsHarvestParameters(t *testing.T) {
+	for _, s := range []SystemSpec{
+		{Kind: "stoch", CapFarads: 100e-6, Sigma: 1e6},
+		{Kind: "stoch", CapFarads: 100e-6, Sigma: maxSigma * 1.01},
+		{Kind: "stoch", CapFarads: 100e-6, Sigma: -0.1},
+		{Kind: "const", CapFarads: 100e-6, Watts: maxWatts * 1.01},
+		{Kind: "solar", CapFarads: 100e-6, Watts: 1e300},
+		{Kind: "const", CapFarads: 100e-6, Watts: minWatts / 2},
+		{Kind: "stoch", CapFarads: 100e-6, Watts: 5e-324},
+	} {
+		if err := s.Validate(); err == nil {
+			t.Errorf("%+v passed validation", s)
+		}
+	}
+	for _, s := range []SystemSpec{
+		{Kind: "stoch", CapFarads: 100e-6, Watts: minWatts, Sigma: maxSigma},
+		{Kind: "stoch", CapFarads: 100e-6, Watts: maxWatts, Sigma: maxSigma},
+		{Kind: "solar", CapFarads: 100e-6, Watts: minWatts},
+		{Kind: "const", CapFarads: 100e-6, Watts: maxWatts},
+	} {
+		sys, err := s.New(7)
+		if err != nil {
+			t.Fatalf("%+v: %v", s, err)
+		}
+		h := sys.(*Intermittent).Harvester
+		for i := 0; i < 100000; i++ {
+			if w := h.PowerW(); !(w > 0) || math.IsInf(w, 0) {
+				t.Fatalf("%+v: draw %d is %v W", s, i, w)
+			}
+		}
+	}
+}
+
 // TestSystemSpecDeterministicPerSeed pins the fleet contract: equal
 // (spec, seed) pairs yield systems with identical consume/recharge
 // behavior, and stochastic kinds diverge across seeds.

@@ -250,7 +250,7 @@ func NewCampaign(spec Spec, models map[string]Model) (*Campaign, error) {
 	}
 	c := &Campaign{spec: spec, models: models, rts: make(map[string]core.Runtime)}
 	for _, name := range spec.Runtimes {
-		rt, err := RuntimeByNameTape(name, spec.Tape)
+		rt, err := RuntimeByNameTape(name, !spec.Interpreted)
 		if err != nil {
 			return nil, err
 		}
@@ -385,8 +385,7 @@ func (c *Campaign) runShard(ctx context.Context, s int, pool *pool) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		ds := c.spec.Device(i)
-		st, err := pool.simulate(ds, c.models[ds.Model], c.rts[ds.Runtime], c.spec.NoFuse)
+		st, err := c.simulateDevice(c.spec.Device(i), pool)
 		if err != nil {
 			return err
 		}
@@ -396,6 +395,23 @@ func (c *Campaign) runShard(ctx context.Context, s int, pool *pool) error {
 		c.done.Add(1)
 	}
 	return nil
+}
+
+// simulateDevice runs one device through the worker's pool. A panic in
+// the simulation — a runtime or power-system bug that input validation did
+// not catch — becomes the campaign's error, naming the device and the
+// spec's content address, instead of killing the process that hosts the
+// campaign. The worker's slot for the device's model is discarded, since
+// the panic may have left its device mid-run. Brown-outs never get here:
+// mcu.Device.Run recovers its own power-failure panics.
+func (c *Campaign) simulateDevice(ds DeviceSpec, p *pool) (st DeviceStats, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			p.discard(ds.Model)
+			err = fmt.Errorf("fleet: device %d of campaign %s panicked: %v", ds.Index, c.spec.Hash(), r)
+		}
+	}()
+	return p.simulate(ds, c.models[ds.Model], c.rts[ds.Runtime], c.spec.NoFuse)
 }
 
 // Run is the one-shot form: build a campaign and sweep it.

@@ -4,10 +4,13 @@ import (
 	"context"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/energy"
+	"repro/internal/fixed"
 	"repro/internal/intermittest"
 )
 
@@ -258,6 +261,7 @@ func TestFleetSpecValidation(t *testing.T) {
 		"unknown-runtime": func(s *Spec) { s.Runtimes = []string{"quantum"} },
 		"no-powers":       func(s *Spec) { s.Powers = nil },
 		"bad-power":       func(s *Spec) { s.Powers[0].CapFarads = -1 },
+		"huge-sigma":      func(s *Spec) { s.Powers[1].Sigma = 1e6 },
 	} {
 		t.Run(name, func(t *testing.T) {
 			s := testSpec(10)
@@ -287,5 +291,56 @@ func TestFleetRuntimeByName(t *testing.T) {
 		if _, err := RuntimeByName(name); err == nil {
 			t.Fatalf("RuntimeByName(%q) did not error", name)
 		}
+	}
+}
+
+// panicRuntime is a runtime with a bug: it panics mid-inference, after
+// dirtying the device it was handed.
+type panicRuntime struct{}
+
+func (panicRuntime) Name() string { return "panic" }
+
+func (panicRuntime) Infer(img *core.Image, input []fixed.Q15) ([]fixed.Q15, error) {
+	if err := img.LoadInput(input); err != nil {
+		return nil, err
+	}
+	panic("runtime bug")
+}
+
+// TestFleetDevicePanicIsJobError: a panic inside one device's simulation
+// fails the campaign with an error naming the device and the spec's
+// content address, instead of crashing the process, and the worker's
+// pool keeps working with a fresh slot for that model.
+func TestFleetDevicePanicIsJobError(t *testing.T) {
+	spec := testSpec(40)
+	c, err := NewCampaign(spec, testModels(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.rts["sonic"] = panicRuntime{}
+	_, err = c.Run(context.Background(), 1)
+	if err == nil {
+		t.Fatal("campaign with a panicking runtime succeeded")
+	}
+	// Device 2 is the first sonic device (runtimes cycle per device).
+	for _, want := range []string{"device 2 ", spec.Hash(), "runtime bug"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not contain %q", err, want)
+		}
+	}
+
+	p := c.newPool()
+	if _, err := c.simulateDevice(spec.Device(2), p); err == nil {
+		t.Fatal("panicking device returned no error")
+	}
+	if p.slots["tiny"] != nil {
+		t.Fatal("the panicked device's pool slot was kept")
+	}
+	st, err := c.simulateDevice(spec.Device(0), p)
+	if err != nil || !st.Completed {
+		t.Fatalf("device after the panic: %+v, %v", st, err)
+	}
+	if n := p.stats.SlotDeploys; n != 2 {
+		t.Fatalf("slot deploys = %d, want 2 (the discarded slot is replaced)", n)
 	}
 }

@@ -128,6 +128,10 @@ func (c *Campaign) newPool() *pool {
 	return &pool{fresh: c.spec.Fresh, protos: c.protos, slots: make(map[string]*Slot, len(c.protos))}
 }
 
+// discard drops the pool's slot for model, if any; the next device of
+// that model gets a freshly deployed one.
+func (p *pool) discard(model string) { delete(p.slots, model) }
+
 // simulate runs one device instance through this worker's pool — or, for
 // a Fresh campaign, through the fresh-deploy path — and extracts its
 // stats. Pooled and fresh simulations are bit-identical.

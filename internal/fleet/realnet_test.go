@@ -2,10 +2,13 @@ package fleet_test
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/energy"
@@ -13,38 +16,74 @@ import (
 	"repro/internal/harness"
 )
 
-// TestFleetRealNetworks sweeps a small fleet over the paper's three
-// evaluation networks (MNIST, HAR, OkGoogle in quick mode) instead of the
-// synthetic tiny model the other fleet tests use: the campaign engine must
-// handle real layer mixes (sparse convs, LEA tiles, pooling) through the
-// same Spec cross-product, and the op-tape campaign must reproduce the
-// interpreted campaign's aggregates bit-for-bit on them. CI runs this as
-// the real-network fleet smoke.
-func TestFleetRealNetworks(t *testing.T) {
+// realNets is the fleet registry of the paper's three evaluation networks
+// (MNIST, HAR, OkGoogle; quick mode, seed 1), prepared once per test
+// binary. Campaigns only read models, so every test shares it.
+var realNets struct {
+	once   sync.Once
+	models map[string]fleet.Model
+	names  []string
+	err    error
+}
+
+// realModels returns the shared registry and its model names in harness
+// order, skipping under -short.
+func realModels(t *testing.T) (map[string]fleet.Model, []string) {
+	t.Helper()
 	if testing.Short() {
-		t.Skip("real-network fleet sweep needs quick-mode GENESIS preparation")
+		t.Skip("real-network fleet tests need quick-mode GENESIS preparation")
 	}
-	prepped, err := harness.PrepareAll(harness.PrepareOptions{Seed: 1, Quick: true})
-	if err != nil {
-		t.Fatal(err)
+	realNets.once.Do(func() {
+		prepped, err := harness.PrepareAll(harness.PrepareOptions{Seed: 1, Quick: true})
+		if err != nil {
+			realNets.err = err
+			return
+		}
+		realNets.models = make(map[string]fleet.Model, len(prepped))
+		for _, p := range prepped {
+			realNets.models[p.Net] = fleet.Model{Net: p.Net, QM: p.Model, Input: p.Model.QuantizeInput(p.Input)}
+			realNets.names = append(realNets.names, p.Net)
+		}
+	})
+	if realNets.err != nil {
+		t.Fatal(realNets.err)
 	}
-	models := make(map[string]fleet.Model, len(prepped))
-	names := make([]string, 0, len(prepped))
-	for _, p := range prepped {
-		models[p.Net] = fleet.Model{Net: p.Net, QM: p.Model, Input: p.Model.QuantizeInput(p.Input)}
-		names = append(names, p.Net)
-	}
-	spec := fleet.Spec{
-		Devices:  36, // two full model × runtime × power cross-products
+	return realNets.models, realNets.names
+}
+
+// realSpec is the real-network campaign the oracles below sweep: every
+// network under tiled Alpaca, SONIC and TAILS, on the given power classes,
+// devices long.
+func realSpec(names []string, devices int, powers ...fleet.PowerClass) fleet.Spec {
+	return fleet.Spec{
+		Devices:  devices,
 		Seed:     1,
 		Models:   names,
 		Runtimes: []string{"tile-32", "sonic", "tails"},
-		Powers: []fleet.PowerClass{
-			{Name: "rf-100uF", SystemSpec: energy.SystemSpec{Kind: "const", CapFarads: 100e-6}},
-			{Name: "cont", SystemSpec: energy.SystemSpec{Kind: "cont"}},
-		},
+		Powers:   powers,
 	}
-	interp, err := fleet.Run(context.Background(), spec, models, 2)
+}
+
+var (
+	rf100uF    = fleet.PowerClass{Name: "rf-100uF", SystemSpec: energy.SystemSpec{Kind: "const", CapFarads: 100e-6}}
+	solar100uF = fleet.PowerClass{Name: "solar-100uF", SystemSpec: energy.SystemSpec{Kind: "solar", CapFarads: 100e-6, Watts: 5e-3}}
+	contPower  = fleet.PowerClass{Name: "cont", SystemSpec: energy.SystemSpec{Kind: "cont"}}
+)
+
+// TestFleetRealNetworks sweeps a small fleet over the paper's three
+// evaluation networks instead of the synthetic tiny model the other fleet
+// tests use: the campaign engine must handle real layer mixes (sparse
+// convs, LEA tiles, pooling) through the same Spec cross-product, and the
+// default op-tape campaign must reproduce the interpreted campaign's
+// aggregates bit-for-bit on them. CI runs this as the real-network fleet
+// smoke.
+func TestFleetRealNetworks(t *testing.T) {
+	models, names := realModels(t)
+	// Two full model × runtime × power cross-products.
+	spec := realSpec(names, 36, rf100uF, contPower)
+	interpSpec := spec
+	interpSpec.Interpreted = true
+	interp, err := fleet.Run(context.Background(), interpSpec, models, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,9 +95,7 @@ func TestFleetRealNetworks(t *testing.T) {
 		t.Fatal("no device completed an inference on the real networks")
 	}
 
-	tapeSpec := spec
-	tapeSpec.Tape = true
-	tape, err := fleet.Run(context.Background(), tapeSpec, models, 2)
+	tape, err := fleet.Run(context.Background(), spec, models, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,6 +110,95 @@ func TestFleetRealNetworks(t *testing.T) {
 	}
 }
 
+// servedGridGolden is the sha256 of a served-grid campaign's result (see
+// gridDigest): quick seed-1 mnist/har/okg × {tile-32, sonic, tails} ×
+// {rf-100uF, solar-100uF at 5 mW, cont}, 54 devices. It was captured from
+// the interpreted walk, at 1 and 2 workers, before campaigns switched to
+// the op tape by default, and must never be regenerated to make a change
+// pass: a mismatch means campaign results changed.
+const servedGridGolden = "da73595955ed541dac7dbacd77dfe13292522ceb25892f6291732a060c8fdc5a"
+
+// gridDigest hashes everything a campaign result determines: the Summary,
+// both sketches' centroids and both histograms' bin counts.
+func gridDigest(t *testing.T, r *fleet.Result) string {
+	t.Helper()
+	buf, err := json.Marshal(struct {
+		Summary  fleet.Summary
+		IMpJ     []fleet.Centroid
+		FirstSec []fleet.Centroid
+		Reboots  []int64
+		Wasted   []int64
+	}{r.Agg.Summary(), r.Agg.IMpJ.Centroids(), r.Agg.FirstSec.Centroids(), r.Agg.RebootHist.Counts(), r.Agg.WastedHist.Counts()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
+}
+
+// servedGridSpec is the campaign servedGridGolden pins: the model,
+// runtime and power classes served jobs sweep, twice over.
+func servedGridSpec(names []string) fleet.Spec {
+	return realSpec(names, 54, rf100uF, solar100uF, contPower)
+}
+
+// TestServedGridGolden is the executor oracle for served campaigns: the
+// default (op-tape) campaign and the Interpreted campaign must both
+// reproduce the digest captured before the default changed, at 1 and 2
+// workers. CI greps for every subtest's PASS line under -race.
+func TestServedGridGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		// The quick-mode models are trained in float64, and Go fuses
+		// x*y+z into FMA on other architectures, so the weights — and
+		// everything the devices compute from them — differ there.
+		t.Skipf("served-grid golden is pinned on amd64, not %s", runtime.GOARCH)
+	}
+	models, names := realModels(t)
+	for _, ex := range []struct {
+		name        string
+		interpreted bool
+	}{{"tape", false}, {"interpreted", true}} {
+		for _, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s-workers-%d", ex.name, workers), func(t *testing.T) {
+				spec := servedGridSpec(names)
+				spec.Interpreted = ex.interpreted
+				r, err := fleet.Run(context.Background(), spec, models, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := gridDigest(t, r); got != servedGridGolden {
+					b, _ := json.Marshal(r.Agg.Summary())
+					t.Fatalf("served-grid digest = %s, want %s (campaign results changed)\nsummary %s", got, servedGridGolden, b)
+				}
+			})
+		}
+	}
+}
+
+// TestServedGridAllocs is the allocation guard for the default executor:
+// per device, the op-tape campaign of the served grid must allocate no
+// more than the same campaign on the interpreted walk. The tape's charge
+// profiles and segment trains are built once per inference, not once per
+// reboot, so its allocations do not grow with a device's reboots.
+func TestServedGridAllocs(t *testing.T) {
+	models, names := realModels(t)
+	perDevice := func(spec fleet.Spec) float64 {
+		return testing.AllocsPerRun(2, func() {
+			if _, err := fleet.Run(context.Background(), spec, models, 1); err != nil {
+				t.Fatal(err)
+			}
+		}) / float64(spec.Devices)
+	}
+	spec := servedGridSpec(names)
+	interp := spec
+	interp.Interpreted = true
+	tapeAllocs, interpAllocs := perDevice(spec), perDevice(interp)
+	t.Logf("allocations per device: tape %.1f, interpreted %.1f", tapeAllocs, interpAllocs)
+	if tapeAllocs > interpAllocs {
+		t.Fatalf("tape campaign allocates %.1f objects per device, more than the interpreted walk's %.1f", tapeAllocs, interpAllocs)
+	}
+}
+
 // TestProvisionedFleetBitIdentical is the provisioned-≡-fresh acceptance
 // oracle on the paper's real networks: a campaign whose every device pays
 // a full fresh deploy (Spec.Fresh) and the default campaign — devices
@@ -81,30 +207,9 @@ func TestFleetRealNetworks(t *testing.T) {
 // centroids and histogram bins. CI greps for the per-worker-count subtest
 // PASS lines under -race.
 func TestProvisionedFleetBitIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real-network provisioning oracle needs quick-mode GENESIS preparation")
-	}
-	prepped, err := harness.PrepareAll(harness.PrepareOptions{Seed: 1, Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	models := make(map[string]fleet.Model, len(prepped))
-	names := make([]string, 0, len(prepped))
-	for _, p := range prepped {
-		models[p.Net] = fleet.Model{Net: p.Net, QM: p.Model, Input: p.Model.QuantizeInput(p.Input)}
-		names = append(names, p.Net)
-	}
-	spec := fleet.Spec{
-		Devices:  36, // two full model × runtime × power cross-products
-		Seed:     1,
-		Models:   names,
-		Runtimes: []string{"tile-32", "sonic", "tails"},
-		Powers: []fleet.PowerClass{
-			{Name: "rf-100uF", SystemSpec: energy.SystemSpec{Kind: "const", CapFarads: 100e-6}},
-			{Name: "cont", SystemSpec: energy.SystemSpec{Kind: "cont"}},
-		},
-		Tape: true,
-	}
+	models, names := realModels(t)
+	// Two full model × runtime × power cross-products.
+	spec := realSpec(names, 36, rf100uF, contPower)
 	type print struct {
 		Summary  fleet.Summary
 		IMpJ     []fleet.Centroid

@@ -64,23 +64,25 @@ type Spec struct {
 	// affects sketch compression points, so changing it may change
 	// aggregate bits (never their statistical meaning).
 	Shards int `json:"shards,omitempty"`
-	// Tape selects the pre-decoded op-tape executors for every runtime of
-	// the campaign. The tape path is bit-exact with the interpreted walk
-	// (see TestTapeInterpreterDifferential), so it does not participate in
-	// the content hash: the same results, just faster.
-	Tape bool `json:"tape,omitempty"`
+	// Interpreted runs every runtime of the campaign on the interpreted
+	// layer walk instead of the pre-decoded op-tape executors campaigns
+	// use by default. The two are bit-exact (TestTapeInterpreterDifferential,
+	// TestServedGridGolden), so this is an executor choice, not campaign
+	// identity, and stays out of the content hash. It exists for A/B
+	// verification and benchmarking.
+	Interpreted bool `json:"interpreted,omitempty"`
 	// NoFuse forces the scalar op-by-op execution path even where the
 	// fused bulk kernels could engage. Fused and scalar paths are
-	// bit-exact (TestFusedScalarDifferential), so like Tape this is an
-	// executor choice, not campaign identity, and stays out of the hash.
+	// bit-exact (TestFusedScalarDifferential), so like Interpreted this is
+	// an executor choice, not campaign identity, and stays out of the hash.
 	// It exists for A/B verification and benchmarking.
 	NoFuse bool `json:"no_fuse,omitempty"`
 	// Fresh disables pooled COW provisioning: every device pays a full
 	// mcu.New + core.Deploy instead of a restore-in-place into its
 	// worker's device pool. Provisioned and fresh fleets are bit-identical
-	// (TestProvisionedFleetBitIdentical), so like Tape and NoFuse this is
-	// an executor choice, not campaign identity, and stays out of the
-	// hash. It exists for A/B verification and benchmarking.
+	// (TestProvisionedFleetBitIdentical), so like Interpreted and NoFuse
+	// this is an executor choice, not campaign identity, and stays out of
+	// the hash. It exists for A/B verification and benchmarking.
 	Fresh bool `json:"fresh,omitempty"`
 }
 
@@ -185,9 +187,9 @@ func (s *Spec) Hash() string {
 	// no maps, so the encoding is canonical.
 	norm := *s
 	norm.Shards = s.shardCount()
-	norm.Tape = false   // executor choice, not campaign identity
-	norm.NoFuse = false // likewise bit-exact, see TestFusedScalarDifferential
-	norm.Fresh = false  // likewise bit-exact, see TestProvisionedFleetBitIdentical
+	norm.Interpreted = false // executor choice, not campaign identity
+	norm.NoFuse = false      // likewise bit-exact, see TestFusedScalarDifferential
+	norm.Fresh = false       // likewise bit-exact, see TestProvisionedFleetBitIdentical
 	buf, err := json.Marshal(&norm)
 	if err != nil {
 		panic("fleet: spec does not marshal: " + err.Error())
@@ -215,10 +217,9 @@ func RuntimeByName(name string) (core.Runtime, error) {
 	return RuntimeByNameTape(name, false)
 }
 
-// RuntimeByNameTape is RuntimeByName with the pre-decoded op-tape
-// executor selected: every resolved runtime gets its Tape knob set, so a
-// whole fleet can A/B the tape against the interpreted walk from one
-// spec field.
+// RuntimeByNameTape is RuntimeByName with the executor chosen: tape
+// sets every resolved runtime's Tape knob. Campaigns resolve their
+// runtimes through it with tape on unless Spec.Interpreted is set.
 func RuntimeByNameTape(name string, tape bool) (core.Runtime, error) {
 	switch name {
 	case "base":

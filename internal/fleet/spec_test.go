@@ -44,12 +44,12 @@ func TestFleetSpecHashShardNormalization(t *testing.T) {
 		t.Fatal("different effective shard counts hash identically")
 	}
 
-	// The tape knob selects an executor proven bit-exact with the
-	// interpreted walk; it is not campaign identity.
-	taped := testSpec(100)
-	taped.Tape = true
-	if zero.Hash() != taped.Hash() {
-		t.Fatal("Tape changed the content hash despite identical results")
+	// The executor knob selects a walk proven bit-exact with the tape;
+	// it is not campaign identity.
+	interp := testSpec(100)
+	interp.Interpreted = true
+	if zero.Hash() != interp.Hash() {
+		t.Fatal("Interpreted changed the content hash despite identical results")
 	}
 }
 

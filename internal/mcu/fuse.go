@@ -28,8 +28,8 @@ type BlockOp struct {
 }
 
 // Block is the pre-computed per-iteration charge profile of one fused
-// loop. Build it once per layer visit with NewBlock; it is device-local
-// (section tokens are) and immutable.
+// loop. Build it with MakeBlock; it is device-local (section tokens are)
+// and immutable.
 type Block struct {
 	ops     []BlockOp
 	unitPJ  int64 // energy per iteration, integer picojoules
@@ -39,12 +39,13 @@ type Block struct {
 // UnitOps returns the charged operations per fused iteration.
 func (b *Block) UnitOps() int64 { return b.unitOps }
 
-// NewBlock builds the charge profile for one fused-loop iteration. The
+// MakeBlock builds the charge profile for one fused-loop iteration. The
 // listed ops must be exactly the multiset the scalar iteration charges,
 // and the last entry's token must be the section the scalar iteration
-// would leave active at its commit.
-func (d *Device) NewBlock(ops ...BlockOp) *Block {
-	b := &Block{ops: ops}
+// would leave active at its commit. The block keeps ops. It is returned by
+// value so callers can keep many blocks in one allocation.
+func (d *Device) MakeBlock(ops ...BlockOp) Block {
+	b := Block{ops: ops}
 	for _, op := range ops {
 		b.unitPJ += int64(op.N) * d.costPJ[op.Kind]
 		b.unitOps += int64(op.N)

@@ -40,14 +40,14 @@ func TestOpsTotalMirrorsSectionCounts(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		dev.Op(OpFixedMul)
 	}
-	blk := dev.NewBlock(
+	blk := dev.MakeBlock(
 		BlockOp{Tok: tokA, Kind: OpLoadFRAM, N: 2},
 		BlockOp{Tok: tokB, Kind: OpStoreFRAM, N: 1})
-	if m := dev.ChargeBlock(blk, 5); m != 5 {
+	if m := dev.ChargeBlock(&blk, 5); m != 5 {
 		t.Fatalf("ChargeBlock funded %d of 5", m)
 	}
-	blk2 := dev.NewBlock(BlockOp{Tok: tokB, Kind: OpBranch, N: 3})
-	if n := dev.ChargeTrain([]TrainSeg{{Blk: blk, N: 2}, {Blk: blk2, N: 4}}); n != 6 {
+	blk2 := dev.MakeBlock(BlockOp{Tok: tokB, Kind: OpBranch, N: 3})
+	if n := dev.ChargeTrain([]TrainSeg{{Blk: &blk, N: 2}, {Blk: &blk2, N: 4}}); n != 6 {
 		t.Fatalf("ChargeTrain funded %d of 6", n)
 	}
 	check("fast path", false)

@@ -209,16 +209,16 @@ func TestServeShardSpellingDedup(t *testing.T) {
 		t.Fatalf("shard spelling re-simulated the fleet: before=%+v after=%+v", before, after)
 	}
 
-	// The tape knob is an executor choice with proven-identical results;
-	// it must hit the same cache entry too.
-	taped := tinySpec(300)
-	taped.Tape = true
-	td, code := postSpec(t, ts, taped)
-	if code != http.StatusOK || td.ID != first.ID || !td.Deduped {
-		t.Fatalf("tape-flagged duplicate not served from cache: code=%d doc=%+v", code, td)
+	// The executor knob is a choice with proven-identical results; it
+	// must hit the same cache entry too.
+	interp := tinySpec(300)
+	interp.Interpreted = true
+	id, code := postSpec(t, ts, interp)
+	if code != http.StatusOK || id.ID != first.ID || !id.Deduped {
+		t.Fatalf("interpreted-flagged duplicate not served from cache: code=%d doc=%+v", code, id)
 	}
 	if got := s.Stats(); got.CampaignsRun != before.CampaignsRun {
-		t.Fatalf("tape knob re-simulated: %+v", got)
+		t.Fatalf("executor knob re-simulated: %+v", got)
 	}
 
 	// A genuinely different shard grouping is NOT a duplicate.
@@ -580,6 +580,12 @@ func TestServeRejectsBadSpecs(t *testing.T) {
 	}
 	if code := post(`{"bogus_field": 1}`); code != http.StatusBadRequest {
 		t.Errorf("unknown field: status %d", code)
+	}
+	// Campaigns run on the op tape by default; the executor A/B field is
+	// "interpreted", and the old "tape" field is an unknown field.
+	if code := post(`{"devices": 10, "seed": 1, "models": ["tiny"], "runtimes": ["sonic"],
+		"powers": [{"name": "cont", "kind": "cont"}], "tape": true}`); code != http.StatusBadRequest {
+		t.Errorf(`retired "tape" field: status %d`, code)
 	}
 	big, _ := json.Marshal(tinySpec(5000))
 	if code := post(string(big)); code != http.StatusBadRequest {

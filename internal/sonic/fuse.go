@@ -24,35 +24,127 @@ func (s *Exec) canFuse() bool {
 	return s.Dev.CanFuse() && !s.Dev.FRAM.Observed()
 }
 
-// unitBlock builds the charge profile of one fused commit unit from the
-// per-iteration body ops and returns it with the unit's iteration count.
+// profSlot names one of a layer kernel's charge profiles.
+type profSlot uint8
+
+const (
+	profFirst   profSlot = iota // first-generation (or only) inner loop
+	profRest                    // later-generation inner loop
+	profZero                    // sparse accumulator zeroing
+	profRow                     // sparse iteration within one CSR row
+	profFin                     // finalize pass
+	profFinBias                 // conv finalize of a filter without partials
+	numProfSlots
+)
+
+// layerProfiles memoises one layer's charge profiles: one per slot, plus
+// the sparse walk's row-boundary iterations by rows advanced (advance[k]
+// advances k+1 rows).
+type layerProfiles struct {
+	slot    [numProfSlots]*mcu.Block
+	advance []*mcu.Block
+}
+
+// profile returns the memo cell of one of layer's profiles. The Exec
+// lives across every reboot of one inference, and a profile depends only
+// on the layer's section tokens, the device's cost table and the
+// checkpoint policy, none of which a reboot changes; so each layer visit
+// after the first reuses the blocks its first visit built. Building a
+// block charges nothing, so memoising cannot move an op.
+func (s *Exec) profile(layer int, slot profSlot) **mcu.Block {
+	return &s.layerProfiles(layer).slot[slot]
+}
+
+// advanceProfile is profile for a sparse iteration that advances adv > 0
+// rows. The cell is only valid until the next call.
+func (s *Exec) advanceProfile(layer, adv int) **mcu.Block {
+	lp := s.layerProfiles(layer)
+	if len(lp.advance) < adv {
+		grown := make([]*mcu.Block, 2*adv)
+		copy(grown, lp.advance)
+		lp.advance = grown
+	}
+	return &lp.advance[adv-1]
+}
+
+// layerProfiles returns layer's memo, allocating the Exec's on first use.
+func (s *Exec) layerProfiles(layer int) *layerProfiles {
+	if s.profiles == nil {
+		s.profiles = make([]layerProfiles, len(s.Img.Layers))
+	}
+	return &s.profiles[layer]
+}
+
+// unitBlock returns the charge profile of one fused commit unit, with the
+// unit's iteration count. The block is built from the per-iteration body
+// ops into memo cell p when p is empty, and read from it after that.
+//
 // Under loop continuation (Every == 1) a unit is one iteration ending in
 // a cursor store; under periodic checkpointing a unit is Every
 // iterations, the first Every-1 charging only an index increment and the
-// last the register/stack dump plus the cursor store. The body slice is
-// consumed (op counts are scaled in place).
-func (s *Exec) unitBlock(tokC mcu.SectionTok, body ...mcu.BlockOp) (*mcu.Block, int) {
-	per := 1
-	if s.Every > 1 {
-		per = s.Every
-		for i := range body {
-			body[i].N *= per
-		}
-		body = append(body, mcu.BlockOp{Tok: tokC, Kind: mcu.OpIncrement, N: per - 1},
+// last the register/stack dump plus the cursor store.
+func (s *Exec) unitBlock(p **mcu.Block, tokC mcu.SectionTok, body ...mcu.BlockOp) (*mcu.Block, int) {
+	per := max(s.Every, 1)
+	if *p != nil {
+		return *p, per
+	}
+	ops := s.opBuf(len(body) + 3)
+	for _, op := range body {
+		op.N *= per
+		ops = append(ops, op)
+	}
+	if per > 1 {
+		ops = append(ops, mcu.BlockOp{Tok: tokC, Kind: mcu.OpIncrement, N: per - 1},
 			mcu.BlockOp{Tok: tokC, Kind: mcu.OpStoreFRAM, N: s.RegWords})
 	}
-	return s.Dev.NewBlock(append(body, mcu.BlockOp{Tok: tokC, Kind: s.cursorKind(), N: 1})...), per
+	*p = s.newBlock(append(ops, mcu.BlockOp{Tok: tokC, Kind: s.cursorKind(), N: 1}))
+	return *p, per
 }
 
-// forceUnitBlock builds the charge profile of one iteration that always
-// commits through ForceCheckpoint (the sparse undo-logging loop): even
+// forceUnitBlock is unitBlock for one iteration that always commits
+// through ForceCheckpoint (the sparse undo-logging loop): even
 // checkpointing runtimes pay the register dump and cursor store on every
-// iteration there. The body slice is consumed.
-func (s *Exec) forceUnitBlock(tokC mcu.SectionTok, body ...mcu.BlockOp) *mcu.Block {
-	if s.Every > 1 {
-		body = append(body, mcu.BlockOp{Tok: tokC, Kind: mcu.OpStoreFRAM, N: s.RegWords})
+// iteration there.
+func (s *Exec) forceUnitBlock(p **mcu.Block, tokC mcu.SectionTok, body ...mcu.BlockOp) *mcu.Block {
+	if *p != nil {
+		return *p
 	}
-	return s.Dev.NewBlock(append(body, mcu.BlockOp{Tok: tokC, Kind: s.cursorKind(), N: 1})...)
+	ops := append(s.opBuf(len(body)+2), body...)
+	if s.Every > 1 {
+		ops = append(ops, mcu.BlockOp{Tok: tokC, Kind: mcu.OpStoreFRAM, N: s.RegWords})
+	}
+	*p = s.newBlock(append(ops, mcu.BlockOp{Tok: tokC, Kind: s.cursorKind(), N: 1}))
+	return *p
+}
+
+// Arena chunk sizes for an inference's charge profiles. A block has at
+// most eight ops (five body ops, the periodic-checkpoint pair and the
+// cursor store), so an op chunk holds at least a block chunk's worth.
+const (
+	blockChunk = 32
+	opChunk    = 8 * blockChunk
+)
+
+// opBuf returns an empty op list with room for n ops. Blocks and their
+// op lists are carved out of chunks, so all of an inference's profiles
+// cost a few allocations rather than two each; a full chunk is replaced,
+// never grown, so nothing handed out moves.
+func (s *Exec) opBuf(n int) []mcu.BlockOp {
+	if cap(s.opArena)-len(s.opArena) < n {
+		s.opArena = make([]mcu.BlockOp, 0, opChunk)
+	}
+	i := len(s.opArena)
+	s.opArena = s.opArena[:i+n]
+	return s.opArena[i : i : i+n]
+}
+
+// newBlock builds the block for ops in the block arena.
+func (s *Exec) newBlock(ops []mcu.BlockOp) *mcu.Block {
+	if len(s.blockArena) == cap(s.blockArena) {
+		s.blockArena = make([]mcu.Block, 0, blockChunk)
+	}
+	s.blockArena = append(s.blockArena, s.Dev.MakeBlock(ops...))
+	return &s.blockArena[len(s.blockArena)-1]
 }
 
 // cursorKind is the op kind StoreIndex charges for the durable cursor.
@@ -89,15 +181,15 @@ func (s *Exec) fuseCommit(c Cursor) {
 	}
 }
 
-// FuseUnit is unitBlock for runtimes layered on Exec (TAILS): it builds
-// the commit-unit charge profile when fusion may engage and returns a nil
-// block (scalar-only) otherwise, so callers pass the result straight to
-// FuseMapTok.
-func (s *Exec) FuseUnit(tokC mcu.SectionTok, body ...mcu.BlockOp) (*mcu.Block, int) {
+// FuseUnit is unitBlock for the finalize pass of runtimes layered on
+// Exec (TAILS): it returns layer's memoised commit-unit charge profile
+// when fusion may engage and a nil block (scalar-only) otherwise, so
+// callers pass the result straight to FuseMapTok.
+func (s *Exec) FuseUnit(layer int, tokC mcu.SectionTok, body ...mcu.BlockOp) (*mcu.Block, int) {
 	if !s.canFuse() {
 		return nil, 1
 	}
-	return s.unitBlock(tokC, body...)
+	return s.unitBlock(s.profile(layer, profFin), tokC, body...)
 }
 
 // FuseMapTok is MapLayerTok with the fused fast path (fuseMap) exported

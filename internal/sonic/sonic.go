@@ -143,6 +143,14 @@ type Exec struct {
 	RegWords int
 
 	sinceCk int
+
+	// Host-side bookkeeping reused across the reboots of one inference:
+	// the fused kernels' charge profiles and the arenas they live in (see
+	// unitBlock), and the sparse walk's segment train.
+	profiles   []layerProfiles
+	blockArena []mcu.Block
+	opArena    []mcu.BlockOp
+	segs       []mcu.TrainSeg
 }
 
 // ResetVolatile clears the engine's register-resident state; runtimes call
@@ -254,7 +262,7 @@ func (s *Exec) RunLayerSoftware(li int, parity bool, start Cursor) {
 		var blk *mcu.Block
 		var per int
 		if s.canFuse() {
-			blk, per = s.unitBlock(tokC,
+			blk, per = s.unitBlock(s.profile(li, profFirst), tokC,
 				mcu.BlockOp{Tok: tokK, Kind: mcu.OpBranch, N: 1},
 				mcu.BlockOp{Tok: tokK, Kind: mcu.OpLoadFRAM, N: 1},
 				mcu.BlockOp{Tok: tokK, Kind: mcu.OpStoreFRAM, N: 1})
@@ -429,12 +437,12 @@ func (s *Exec) denseLayer(l *core.LayerImage, name string, src, dst *mem.Region,
 	var blkFirst, blkRest *mcu.Block
 	var per int
 	if fuse {
-		blkFirst, per = s.unitBlock(tokC,
+		blkFirst, per = s.unitBlock(s.profile(start.Layer, profFirst), tokC,
 			mcu.BlockOp{Tok: tokK, Kind: mcu.OpBranch, N: 1},
 			mcu.BlockOp{Tok: tokK, Kind: mcu.OpLoadFRAM, N: 1},
 			mcu.BlockOp{Tok: tokK, Kind: mcu.OpFixedMul, N: 1},
 			mcu.BlockOp{Tok: tokK, Kind: mcu.OpStoreFRAM, N: 1})
-		blkRest, _ = s.unitBlock(tokC,
+		blkRest, _ = s.unitBlock(s.profile(start.Layer, profRest), tokC,
 			mcu.BlockOp{Tok: tokK, Kind: mcu.OpBranch, N: 1},
 			mcu.BlockOp{Tok: tokK, Kind: mcu.OpLoadFRAM, N: 2},
 			mcu.BlockOp{Tok: tokK, Kind: mcu.OpFixedMul, N: 1},
@@ -490,7 +498,7 @@ func (s *Exec) denseLayer(l *core.LayerImage, name string, src, dst *mem.Region,
 	final, _ := AccBufs(s.Img, q.In-1)
 	var blkFin *mcu.Block
 	if fuse {
-		blkFin, per = s.unitBlock(tokC,
+		blkFin, per = s.unitBlock(s.profile(start.Layer, profFin), tokC,
 			mcu.BlockOp{Tok: tokK, Kind: mcu.OpBranch, N: 1},
 			mcu.BlockOp{Tok: tokK, Kind: mcu.OpLoadFRAM, N: 2},
 			mcu.BlockOp{Tok: tokK, Kind: mcu.OpFixedAdd, N: 1},
@@ -532,7 +540,7 @@ func (s *Exec) sparseLayer(l *core.LayerImage, name string, src, dst *mem.Region
 		// failure here is harmless because pass 1 has not started).
 		var blkZero *mcu.Block
 		if fuse {
-			blkZero, per = s.unitBlock(tokC,
+			blkZero, per = s.unitBlock(s.profile(start.Layer, profZero), tokC,
 				mcu.BlockOp{Tok: tokK, Kind: mcu.OpBranch, N: 1},
 				mcu.BlockOp{Tok: tokK, Kind: mcu.OpStoreFRAM, N: 1})
 		}
@@ -559,12 +567,7 @@ func (s *Exec) sparseLayer(l *core.LayerImage, name string, src, dst *mem.Region
 		// non-uniform and run scalar.
 		var blkRow *mcu.Block
 		if fuse {
-			blkRow = s.forceUnitBlock(tokC,
-				mcu.BlockOp{Tok: tokK, Kind: mcu.OpBranch, N: 1},
-				mcu.BlockOp{Tok: tokK, Kind: mcu.OpLoadFRAM, N: 7},
-				mcu.BlockOp{Tok: tokK, Kind: mcu.OpStoreFRAM, N: 3},
-				mcu.BlockOp{Tok: tokK, Kind: mcu.OpFixedMul, N: 1},
-				mcu.BlockOp{Tok: tokK, Kind: mcu.OpFixedAdd, N: 1})
+			blkRow = s.sparseRowBlock(start.Layer, tokK, tokC, 0)
 		}
 		row := start.I
 		for pos := start.Pos; pos < nnz; {
@@ -621,7 +624,7 @@ func (s *Exec) sparseLayer(l *core.LayerImage, name string, src, dst *mem.Region
 	default:
 		var blkFin *mcu.Block
 		if fuse {
-			blkFin, per = s.unitBlock(tokC,
+			blkFin, per = s.unitBlock(s.profile(start.Layer, profFin), tokC,
 				mcu.BlockOp{Tok: tokK, Kind: mcu.OpBranch, N: 1},
 				mcu.BlockOp{Tok: tokK, Kind: mcu.OpLoadFRAM, N: 2},
 				mcu.BlockOp{Tok: tokK, Kind: mcu.OpFixedAdd, N: 1},

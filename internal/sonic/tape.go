@@ -81,12 +81,12 @@ func (s *Exec) tapeConvLayer(l *core.LayerImage, tl *tape.Layer, src, dst *mem.R
 	var blkFirst, blkRest *mcu.Block
 	var per int
 	if fuse {
-		blkFirst, per = s.unitBlock(tokC,
+		blkFirst, per = s.unitBlock(s.profile(start.Layer, profFirst), tokC,
 			mcu.BlockOp{Tok: tokK, Kind: mcu.OpBranch, N: 1},
 			mcu.BlockOp{Tok: tokK, Kind: mcu.OpLoadFRAM, N: 1},
 			mcu.BlockOp{Tok: tokK, Kind: mcu.OpFixedMul, N: 1},
 			mcu.BlockOp{Tok: tokK, Kind: mcu.OpStoreFRAM, N: 1})
-		blkRest, _ = s.unitBlock(tokC,
+		blkRest, _ = s.unitBlock(s.profile(start.Layer, profRest), tokC,
 			mcu.BlockOp{Tok: tokK, Kind: mcu.OpBranch, N: 1},
 			mcu.BlockOp{Tok: tokK, Kind: mcu.OpLoadFRAM, N: 2},
 			mcu.BlockOp{Tok: tokK, Kind: mcu.OpFixedMul, N: 1},
@@ -195,12 +195,14 @@ func (s *Exec) tapeConvLayer(l *core.LayerImage, tl *tape.Layer, src, dst *mem.R
 		if l.FinPar != nil {
 			loads++
 		}
-		adds := 1
+		// FinPar's presence is a layer property, so the profile varies
+		// within the layer only with whether the filter has partials.
+		adds, finSlot := 1, profFin
 		if par < 0 {
 			loads--
-			adds = 0
+			adds, finSlot = 0, profFinBias
 		}
-		blk, _ := s.unitBlock(tokC,
+		blk, _ := s.unitBlock(s.profile(start.Layer, finSlot), tokC,
 			mcu.BlockOp{Tok: tokK, Kind: mcu.OpBranch, N: 1},
 			mcu.BlockOp{Tok: tokK, Kind: mcu.OpLoadFRAM, N: loads},
 			mcu.BlockOp{Tok: tokK, Kind: mcu.OpFixedAdd, N: adds},
@@ -264,7 +266,7 @@ func (s *Exec) tapeSparseLayer(l *core.LayerImage, tl *tape.Layer, src, dst *mem
 
 	switch start.Pass {
 	case 0:
-		blkZero, perZ := s.unitBlock(tokC,
+		blkZero, perZ := s.unitBlock(s.profile(start.Layer, profZero), tokC,
 			mcu.BlockOp{Tok: tokK, Kind: mcu.OpBranch, N: 1},
 			mcu.BlockOp{Tok: tokK, Kind: mcu.OpStoreFRAM, N: 1})
 		accW := acc.Words()
@@ -278,56 +280,30 @@ func (s *Exec) tapeSparseLayer(l *core.LayerImage, tl *tape.Layer, src, dst *mem
 		s.Transition(name, start)
 		fallthrough
 	case 1:
-		// In-row iteration profile (identical to sparseLayer's blkRow): one
-		// branch, seven loads (the failing RowPtr probe, the read index,
-		// the original partial, the canonical slot, weight, column,
-		// activation), the three-store two-phase update, and the MAC.
-		blkRow := s.forceUnitBlock(tokC,
-			mcu.BlockOp{Tok: tokK, Kind: mcu.OpBranch, N: 1},
-			mcu.BlockOp{Tok: tokK, Kind: mcu.OpLoadFRAM, N: 7},
-			mcu.BlockOp{Tok: tokK, Kind: mcu.OpStoreFRAM, N: 3},
-			mcu.BlockOp{Tok: tokK, Kind: mcu.OpFixedMul, N: 1},
-			mcu.BlockOp{Tok: tokK, Kind: mcu.OpFixedAdd, N: 1})
-		// Boundary iterations add one successful RowPtr probe (a branch
-		// and a load) per row advanced; cache one block per distinct
-		// advance count (networks have very few).
-		var bnd map[int]*mcu.Block
-		bndBlock := func(adv int) *mcu.Block {
-			if adv == 0 {
-				return blkRow
-			}
-			if b, ok := bnd[adv]; ok {
-				return b
-			}
-			b := s.forceUnitBlock(tokC,
-				mcu.BlockOp{Tok: tokK, Kind: mcu.OpBranch, N: 1 + adv},
-				mcu.BlockOp{Tok: tokK, Kind: mcu.OpLoadFRAM, N: 7 + adv},
-				mcu.BlockOp{Tok: tokK, Kind: mcu.OpStoreFRAM, N: 3},
-				mcu.BlockOp{Tok: tokK, Kind: mcu.OpFixedMul, N: 1},
-				mcu.BlockOp{Tok: tokK, Kind: mcu.OpFixedAdd, N: 1})
-			if bnd == nil {
-				bnd = make(map[int]*mcu.Block)
-			}
-			bnd[adv] = b
-			return b
-		}
+		// In-row iterations advance no row (sparseLayer's blkRow); a
+		// boundary iteration's profile depends on how many rows it
+		// advances, and networks have very few distinct advance counts.
+		blkRow := s.sparseRowBlock(start.Layer, tokK, tokC, 0)
 		spStart, spLen, spRow, spanOf := tl.SpStart, tl.SpLen, tl.SpRow, tl.SpanOf
 		wW, colsW, srcW := l.W.ROWords(), l.Cols.ROWords(), src.ROWords()
 		accW := acc.Words()
-		var segs []mcu.TrainSeg
 		row := start.I
 		for pos := start.Pos; pos < nnz; {
 			if int(ctl.Get(slotRead)) <= pos {
 				// Build the remaining layer as a segment train from the
 				// live (pos, row) state; ChargeTrain funds a prefix.
 				si := int(spanOf[pos])
-				segs = segs[:0]
+				// At most two segments per span: sized once per layer.
+				if cap(s.segs) < 2*len(spStart) {
+					s.segs = make([]mcu.TrainSeg, 0, 2*len(spStart))
+				}
+				segs := s.segs[:0]
 				p, r := pos, row
 				for sj := si; p < nnz; sj++ {
 					end := int(spStart[sj]) + int(spLen[sj])
 					inRow := end - p
 					if adv := int(spRow[sj]) - r; adv > 0 {
-						segs = append(segs, mcu.TrainSeg{Blk: bndBlock(adv), N: 1})
+						segs = append(segs, mcu.TrainSeg{Blk: s.sparseRowBlock(start.Layer, tokK, tokC, adv), N: 1})
 						inRow--
 						p++
 					}
@@ -379,7 +355,7 @@ func (s *Exec) tapeSparseLayer(l *core.LayerImage, tl *tape.Layer, src, dst *mem
 		fallthrough
 	default:
 		var blkFin *mcu.Block
-		blkFin, per = s.unitBlock(tokC,
+		blkFin, per = s.unitBlock(s.profile(start.Layer, profFin), tokC,
 			mcu.BlockOp{Tok: tokK, Kind: mcu.OpBranch, N: 1},
 			mcu.BlockOp{Tok: tokK, Kind: mcu.OpLoadFRAM, N: 2},
 			mcu.BlockOp{Tok: tokK, Kind: mcu.OpFixedAdd, N: 1},
@@ -394,6 +370,25 @@ func (s *Exec) tapeSparseLayer(l *core.LayerImage, tl *tape.Layer, src, dst *mem
 			dev.Store(dst, o, int64(a.AddQ(bq).SatShiftSigned(q.Shift)))
 		})
 	}
+}
+
+// sparseRowBlock is the charge profile of one sparse undo-logging
+// iteration that advances adv rows (sparseLayer's in-row profile when adv
+// is 0): one branch and one failing RowPtr probe, plus one successful
+// probe per row advanced, the read-index, original-partial,
+// canonical-slot, weight, column and activation loads, the three-store
+// two-phase update, and the MAC.
+func (s *Exec) sparseRowBlock(layer int, tokK, tokC mcu.SectionTok, adv int) *mcu.Block {
+	p := s.profile(layer, profRow)
+	if adv > 0 {
+		p = s.advanceProfile(layer, adv)
+	}
+	return s.forceUnitBlock(p, tokC,
+		mcu.BlockOp{Tok: tokK, Kind: mcu.OpBranch, N: 1 + adv},
+		mcu.BlockOp{Tok: tokK, Kind: mcu.OpLoadFRAM, N: 7 + adv},
+		mcu.BlockOp{Tok: tokK, Kind: mcu.OpStoreFRAM, N: 3},
+		mcu.BlockOp{Tok: tokK, Kind: mcu.OpFixedMul, N: 1},
+		mcu.BlockOp{Tok: tokK, Kind: mcu.OpFixedAdd, N: 1})
 }
 
 // MapLayerTok is MapLayer with the per-iteration kernel/control section
@@ -423,7 +418,7 @@ func (s *Exec) tapePoolLayer(l *core.LayerImage, tl *tape.Layer, src, dst *mem.R
 	var per int
 	if s.canFuse() {
 		win := q.Window * q.Window
-		blk, per = s.unitBlock(tokC,
+		blk, per = s.unitBlock(s.profile(start.Layer, profFirst), tokC,
 			mcu.BlockOp{Tok: tokK, Kind: mcu.OpBranch, N: 1 + win},
 			mcu.BlockOp{Tok: tokK, Kind: mcu.OpLoadFRAM, N: win},
 			mcu.BlockOp{Tok: tokK, Kind: mcu.OpStoreFRAM, N: 1})

@@ -120,7 +120,7 @@ func (t TAILS) tapeConvLayer(s *sonic.Exec, sc *scratch, l *core.LayerImage, tl 
 	if postShift > 0 {
 		adds++
 	}
-	blk, per := s.FuseUnit(tokC,
+	blk, per := s.FuseUnit(start.Layer, tokC,
 		mcu.BlockOp{Tok: tokK, Kind: mcu.OpBranch, N: 1},
 		mcu.BlockOp{Tok: tokK, Kind: mcu.OpLoadFRAM, N: 2},
 		mcu.BlockOp{Tok: tokK, Kind: mcu.OpAdd, N: adds},

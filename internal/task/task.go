@@ -187,17 +187,17 @@ func (rt *Runtime) Start(entry ID) {
 // It returns mcu.ErrDoesNotComplete if some task cannot finish within the
 // device's energy buffer.
 func (rt *Runtime) Run() error {
+	// One Ctx serves every dispatch of every power-on: it escapes into the
+	// task bodies, so allocating it per task, or per reboot, would
+	// otherwise dominate the steady-state heap traffic of a pooled fleet
+	// (thousands of dispatches and hundreds of reboots per inference).
+	ctx := &Ctx{rt: rt}
 	return rt.dev.Run(func() {
 		// Reboot path: a failure during commit must finish the commit by
 		// replaying the (idempotent) redo log.
 		if rt.dev.Load(rt.state, stPhase) == phaseCommit {
 			rt.replayAndFinish()
 		}
-		// One Ctx serves every dispatch: it escapes into the task bodies,
-		// so allocating it per task would otherwise dominate the steady
-		// state heap traffic of a pooled fleet (thousands of dispatches
-		// per inference).
-		ctx := Ctx{rt: rt}
 		for {
 			cur := ID(rt.dev.Load(rt.state, stCur))
 			if cur == Done {
@@ -211,7 +211,7 @@ func (rt *Runtime) Run() error {
 			rt.dev.Emit(mcu.TraceTaskBegin, rt.tasks[cur].name, int64(cur))
 			rt.dev.Store(rt.state, stCount, 0)
 			rt.clearWriteSet()
-			next := rt.tasks[cur].f(&ctx)
+			next := rt.tasks[cur].f(ctx)
 			rt.commit(next)
 		}
 	})
