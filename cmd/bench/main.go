@@ -27,7 +27,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dnn"
 	"repro/internal/energy"
-	"repro/internal/fixed"
 	"repro/internal/fleet"
 	"repro/internal/harness"
 	"repro/internal/intermittest"
@@ -128,34 +127,24 @@ type report struct {
 		Deterministic bool         `json:"deterministic"`
 	} `json:"fleet"`
 
-	// Tape A/Bs the pre-decoded op-tape executors against the interpreted
-	// walk on the two workloads that dominate wall-clock: the Fig. 9
-	// measurement matrix and single-worker fleet throughput. Identical
-	// records that every matrix cell and the fleet summary were bit-equal
-	// between executors — the speedup only counts on identical results.
-	// The fleet A/B sweeps the real evaluation networks (mnist, har, okg)
-	// rather than the synthetic tiny model: the tiny fleet is dominated by
-	// per-device fixed costs (construction, deployment, trace analysis)
-	// that are identical in both executors, while the real networks carry
-	// the MAC volume the pre-decoded tables actually accelerate.
+	// Tape is single-worker fleet throughput on the op-tape executors, the
+	// purest per-device simulation cost. It sweeps the real evaluation
+	// networks (mnist, har, okg) rather than the synthetic tiny model: the
+	// tiny fleet is dominated by per-device fixed costs (construction,
+	// deployment, trace analysis), while the real networks carry the MAC
+	// volume the pre-decoded tables and fused kernels accelerate.
 	Tape struct {
-		Fig9InterpNsPerOp    int64    `json:"fig9_interp_ns_per_op"`
-		Fig9TapeNsPerOp      int64    `json:"fig9_tape_ns_per_op"`
-		Fig9Speedup          float64  `json:"fig9_speedup"`
-		FleetDevices         int      `json:"fleet_devices"`
-		FleetNets            []string `json:"fleet_nets"`
-		FleetInterpDevPerSec float64  `json:"fleet_interp_devices_per_sec"`
-		FleetTapeDevPerSec   float64  `json:"fleet_tape_devices_per_sec"`
-		FleetSpeedup         float64  `json:"fleet_speedup"`
-		Identical            bool     `json:"identical"`
-		Iterations           int      `json:"iterations"`
+		FleetDevices       int      `json:"fleet_devices"`
+		FleetNets          []string `json:"fleet_nets"`
+		FleetTapeDevPerSec float64  `json:"fleet_tape_devices_per_sec"`
+		Iterations         int      `json:"iterations"`
 	} `json:"tape"`
 
 	// Kernels A/Bs the fused bulk-loop kernels against the scalar
-	// op-by-op path (Device.NoFuse) at fixed executor choice — both sides
-	// run the tape executors, so the ratio isolates the fused fast path
-	// alone. Same discipline as Tape: paired alternating min-of-K, and the
-	// speedup only counts on bit-identical results (every Fig. 9 cell, and
+	// op-by-op path (Device.NoFuse) — both sides run the same tape
+	// executors, so the ratio isolates the fused fast path alone. Paired
+	// alternating min-of-K, and the speedup only counts on bit-identical
+	// results (every Fig. 9 cell, and
 	// the fleet summary byte-for-byte). FleetWorkers reports the fused
 	// tape fleet's devices/sec at 1 and 4 workers.
 	Kernels struct {
@@ -175,8 +164,7 @@ type report struct {
 
 	// Provision A/Bs pooled COW provisioning against per-device fresh
 	// deploys on the real networks, two ways. The fleet pair is the same
-	// 600-device sweep with Spec.Fresh flipped at fixed executor choice
-	// (fused tape on both sides): the end-to-end effect of device reuse,
+	// 600-device sweep with Spec.Fresh flipped (fused tape on both sides): the end-to-end effect of device reuse,
 	// bounded by how small a slice of a device's wall time provisioning
 	// is once the bulk flash made fresh deploys cheap (Amdahl). The prov
 	// pair isolates the provisioning path itself — a fresh mcu.New +
@@ -211,11 +199,9 @@ type report struct {
 	// figures restate the tape sweep's minimum against BENCH_PR9's
 	// recorded throughput (the >= 1.3x bar is asserted in-binary, on
 	// byte-identical summaries enforced by the paired harness). The layer
-	// pair isolates the CSR row walk itself: a synthetic sparse-heavy
+	// figure times the CSR row walk itself: a synthetic sparse-heavy
 	// model — one large SparseDense layer holding nearly all the work —
-	// run on SONIC interpreted (per-nonzero row walk, binary row search)
-	// versus SONIC tape (compiled row-span trains through kern.CSRSpans),
-	// with logits and RunResults bit-equal between the executors.
+	// run on SONIC (compiled row-span trains through kern.CSRSpans).
 	Sparse struct {
 		FleetDevices       int     `json:"fleet_devices"`
 		FleetTapeDevPerSec float64 `json:"fleet_tape_devices_per_sec"`
@@ -224,10 +210,7 @@ type report struct {
 		LayerRows          int     `json:"layer_rows"`
 		LayerCols          int     `json:"layer_cols"`
 		LayerNonzeros      int     `json:"layer_nonzeros"`
-		LayerInterpNsPerOp int64   `json:"layer_interp_ns_per_op"`
 		LayerTapeNsPerOp   int64   `json:"layer_tape_ns_per_op"`
-		LayerSpeedup       float64 `json:"layer_speedup"`
-		Identical          bool    `json:"identical"`
 		Iterations         int     `json:"iterations"`
 	} `json:"sparse"`
 }
@@ -346,50 +329,6 @@ func main() {
 		}
 	}
 
-	// Tape vs interpreter on the full matrix: identical cells, less time.
-	// The interpreted pass is re-timed here (rather than reusing the RunAll
-	// figure) so both sides run the identical Measure loop. The two
-	// executors alternate within each round and the minimum over rounds is
-	// reported: paired min-of-K discards scheduler and thermal noise that an
-	// averaged back-to-back comparison folds into the ratio.
-	matrixOnce := func(rts []core.Runtime) (time.Duration, []harness.RunResult) {
-		var results []harness.RunResult
-		start := time.Now()
-		for _, p := range prepped {
-			input := p.Model.QuantizeInput(p.Input)
-			for _, rt := range rts {
-				for _, pw := range harness.Powers() {
-					res, err := harness.Measure(p.Net, p.Model, rt, pw, input)
-					if err != nil {
-						fail(err)
-					}
-					results = append(results, res)
-				}
-			}
-		}
-		return time.Since(start), results
-	}
-	fmt.Fprintf(os.Stderr, "bench: Fig. 9 matrix interpreted vs tape, paired × %d...\n", *count)
-	var minInterp, minTape time.Duration
-	for i := 0; i < *count; i++ {
-		dI, resI := matrixOnce(harness.Runtimes())
-		dT, resT := matrixOnce(harness.TapeRuntimes())
-		if !reflect.DeepEqual(resI, resT) {
-			fail(fmt.Errorf("tape executors changed Fig. 9 results — bit-exactness broken"))
-		}
-		if i == 0 || dI < minInterp {
-			minInterp = dI
-		}
-		if i == 0 || dT < minTape {
-			minTape = dT
-		}
-	}
-	rep.Tape.Fig9InterpNsPerOp = minInterp.Nanoseconds()
-	rep.Tape.Fig9TapeNsPerOp = minTape.Nanoseconds()
-	rep.Tape.Fig9Speedup = float64(minInterp) / float64(minTape)
-	rep.Tape.Identical = true
-	rep.Tape.Iterations = *count
-
 	// Intermittence fuzz campaign, as CI runs it: every runtime plus the
 	// two negative controls, WAR shadow armed. Measured twice at identical
 	// sweep coverage — once with ForceScratch (the pre-fork path) and once
@@ -436,8 +375,7 @@ func main() {
 
 	// Fleet engine throughput: the same campaign shape the fleet tests
 	// sweep, timed at each worker count with a determinism cross-check
-	// (summaries must be byte-identical across worker counts), on the
-	// interpreted walk.
+	// (summaries must be byte-identical across worker counts).
 	const fleetDevices = 5000
 	fleetModels := map[string]fleet.Model{
 		"tiny": {Net: "tiny", QM: qm, Input: qm.QuantizeInput(x)}}
@@ -451,7 +389,6 @@ func main() {
 			{Name: "stoch-100uF", SystemSpec: energy.SystemSpec{Kind: "stoch", CapFarads: 100e-6}},
 			{Name: "cont", SystemSpec: energy.SystemSpec{Kind: "cont"}},
 		},
-		Interpreted: true,
 	}
 	rep.Fleet.GOMAXPROCS = runtime.GOMAXPROCS(0)
 	rep.Fleet.Devices = fleetDevices
@@ -490,15 +427,10 @@ func main() {
 			fail(fmt.Errorf("fleet aggregates at %d workers differ from the 1-worker baseline", w))
 		}
 	}
-	// Tape vs interpreter on fleet throughput at one worker — the purest
-	// per-device simulation cost. The sweep runs the real evaluation
-	// networks (the tiny fleet above is all fixed per-device overhead,
-	// identical in both executors). The tape campaign must reproduce the
-	// interpreted summary byte-for-byte (Spec.Interpreted is an executor
-	// choice, not campaign identity) and sweep strictly more devices per
-	// second.
-	// Paired alternating min-of-K again: each round runs interpreted then
-	// tape under the same machine conditions, and the minima are compared.
+	// Tape fleet throughput at one worker — the purest per-device
+	// simulation cost — on the real evaluation networks (the tiny fleet
+	// above is all fixed per-device overhead). Min-of-K, with every
+	// round's summary byte-identical to the first.
 	const realFleetDevices = 600
 	realModels := make(map[string]fleet.Model, len(prepped))
 	var realNets []string
@@ -506,7 +438,7 @@ func main() {
 		realModels[p.Net] = fleet.Model{Net: p.Net, QM: p.Model, Input: p.Model.QuantizeInput(p.Input)}
 		realNets = append(realNets, p.Net)
 	}
-	realSpec := fleet.Spec{
+	tapeSpec := fleet.Spec{
 		Devices:  realFleetDevices,
 		Seed:     *seed,
 		Models:   realNets,
@@ -515,25 +447,19 @@ func main() {
 			{Name: "rf-100uF", SystemSpec: energy.SystemSpec{Kind: "const", CapFarads: 100e-6}},
 			{Name: "cont", SystemSpec: energy.SystemSpec{Kind: "cont"}},
 		},
-		Interpreted: true,
 	}
-	tapeSpec := realSpec
-	tapeSpec.Interpreted = false
-	fmt.Fprintf(os.Stderr, "bench: fleet campaign interpreted vs tape (%d real-network devices, 1 worker), paired × %d...\n",
+	fmt.Fprintf(os.Stderr, "bench: fleet campaign (%d real-network devices, 1 worker) × %d...\n",
 		realFleetDevices, *count)
 	var realSummary []byte
-	realMins, _ := pairedFleetMin(*count, 1, realModels, &realSummary, realSpec, tapeSpec)
-	minFleetInterp, minFleetTape := realMins[0], realMins[1]
+	realMins, _ := pairedFleetMin(*count, 1, realModels, &realSummary, tapeSpec)
 	rep.Tape.FleetDevices = realFleetDevices
 	rep.Tape.FleetNets = realNets
-	rep.Tape.FleetInterpDevPerSec = float64(realFleetDevices) / minFleetInterp.Seconds()
-	rep.Tape.FleetTapeDevPerSec = float64(realFleetDevices) / minFleetTape.Seconds()
-	rep.Tape.FleetSpeedup = float64(minFleetInterp) / float64(minFleetTape)
+	rep.Tape.FleetTapeDevPerSec = float64(realFleetDevices) / realMins[0].Seconds()
+	rep.Tape.Iterations = *count
 
-	// Fused kernels vs scalar at fixed executor choice (tape on both
-	// sides): the Fig. 9 matrix through Measure vs MeasureScalar, and the
-	// real-network fleet with Spec.NoFuse flipped. Paired alternating
-	// min-of-K, bit-identical results required, as in the Tape section.
+	// Fused kernels vs scalar: the Fig. 9 matrix through Measure vs
+	// MeasureScalar, and the real-network fleet with Spec.NoFuse flipped.
+	// Paired alternating min-of-K, bit-identical results required.
 	matrixMeasured := func(rts []core.Runtime, scalar bool) (time.Duration, []harness.RunResult) {
 		mfn := harness.Measure
 		if scalar {
@@ -555,11 +481,11 @@ func main() {
 		}
 		return time.Since(start), results
 	}
-	fmt.Fprintf(os.Stderr, "bench: Fig. 9 matrix fused vs scalar (tape executors), paired × %d...\n", *count)
+	fmt.Fprintf(os.Stderr, "bench: Fig. 9 matrix fused vs scalar, paired × %d...\n", *count)
 	var minFig9Fused, minFig9Scalar time.Duration
 	for i := 0; i < *count; i++ {
-		dS, resS := matrixMeasured(harness.TapeRuntimes(), true)
-		dF, resF := matrixMeasured(harness.TapeRuntimes(), false)
+		dS, resS := matrixMeasured(harness.Runtimes(), true)
+		dF, resF := matrixMeasured(harness.Runtimes(), false)
 		if !reflect.DeepEqual(resS, resF) {
 			fail(fmt.Errorf("fused kernels changed Fig. 9 results — bit-exactness broken"))
 		}
@@ -691,61 +617,29 @@ func main() {
 	rep.Provision.ProvSpeedup = float64(minProvFresh) / float64(minProvPooled)
 
 	// Sparse row-walk section. The fleet side restates the tape sweep's
-	// paired minimum (measured above, byte-identical summaries enforced)
-	// against BENCH_PR9's recorded figure. The layer pair isolates the
-	// row walk: SONIC interpreted (per-nonzero binary row search) versus
-	// SONIC tape (compiled row-span trains) on a model that is almost
-	// entirely one big SparseDense layer, at continuous power, with reps
-	// batched per timed side to stay well above timer resolution.
+	// minimum (measured above, byte-identical summaries enforced) against
+	// BENCH_PR9's recorded figure. The layer figure times the row walk on
+	// a model that is almost entirely one big SparseDense layer, at
+	// continuous power, with reps batched per timed round to stay well
+	// above timer resolution.
 	qmSparse, xSparse := sparseHeavyModel(*seed)
 	qs := &qmSparse.Layers[0]
 	inputSparse := qmSparse.QuantizeInput(xSparse)
 	contPow := harness.Powers()[0]
 	const sparseReps = 50
-	fmt.Fprintf(os.Stderr, "bench: sparse layer interpreted vs tape (SONIC, %dx%d, %d nonzeros), paired × %d...\n",
+	fmt.Fprintf(os.Stderr, "bench: sparse layer (SONIC, %dx%d, %d nonzeros) × %d...\n",
 		qs.Out, qs.In, int(qs.RowPtr[qs.Out]), *count)
-	sparseOnce := func(rt core.Runtime) (time.Duration, []harness.RunResult) {
-		results := make([]harness.RunResult, 0, sparseReps)
+	var minLayer time.Duration
+	for i := 0; i < *count; i++ {
 		start := time.Now()
 		for r := 0; r < sparseReps; r++ {
-			res, err := harness.Measure("sparse-heavy", qmSparse, rt, contPow, inputSparse)
-			if err != nil {
+			if _, err := harness.Measure("sparse-heavy", qmSparse, sonic.SONIC{}, contPow, inputSparse); err != nil {
 				fail(err)
 			}
-			results = append(results, res)
 		}
-		return time.Since(start), results
-	}
-	var minLayerInterp, minLayerTape time.Duration
-	for i := 0; i < *count; i++ {
-		dI, resI := sparseOnce(sonic.SONIC{})
-		dT, resT := sparseOnce(sonic.SONIC{Tape: true})
-		if !reflect.DeepEqual(resI, resT) {
-			fail(fmt.Errorf("tape row-span trains changed sparse-heavy results — bit-exactness broken"))
+		if d := time.Since(start); i == 0 || d < minLayer {
+			minLayer = d
 		}
-		if i == 0 || dI < minLayerInterp {
-			minLayerInterp = dI
-		}
-		if i == 0 || dT < minLayerTape {
-			minLayerTape = dT
-		}
-	}
-	// RunResult equality covers stats and the prediction; pin the raw
-	// logits too, once per executor.
-	logitsOf := func(rt core.Runtime) []fixed.Q15 {
-		dev := mcu.New(energy.Continuous{})
-		img, err := core.Deploy(dev, qmSparse)
-		if err != nil {
-			fail(err)
-		}
-		lg, err := rt.Infer(img, inputSparse)
-		if err != nil {
-			fail(err)
-		}
-		return lg
-	}
-	if !reflect.DeepEqual(logitsOf(sonic.SONIC{}), logitsOf(sonic.SONIC{Tape: true})) {
-		fail(fmt.Errorf("tape row-span trains changed sparse-heavy logits — bit-exactness broken"))
 	}
 	rep.Sparse.FleetDevices = realFleetDevices
 	rep.Sparse.FleetTapeDevPerSec = rep.Tape.FleetTapeDevPerSec
@@ -754,20 +648,11 @@ func main() {
 	rep.Sparse.LayerRows = qs.Out
 	rep.Sparse.LayerCols = qs.In
 	rep.Sparse.LayerNonzeros = int(qs.RowPtr[qs.Out])
-	rep.Sparse.LayerInterpNsPerOp = minLayerInterp.Nanoseconds() / sparseReps
-	rep.Sparse.LayerTapeNsPerOp = minLayerTape.Nanoseconds() / sparseReps
-	rep.Sparse.LayerSpeedup = float64(minLayerInterp) / float64(minLayerTape)
-	rep.Sparse.Identical = true
+	rep.Sparse.LayerTapeNsPerOp = minLayer.Nanoseconds() / sparseReps
 	rep.Sparse.Iterations = *count
 
-	// The tape path exists to be faster; a regression on either headline
-	// metric fails the bench outright.
-	if rep.Tape.Fig9Speedup <= 1.0 {
-		fail(fmt.Errorf("tape Fig. 9 matrix is not faster than interpreted (%.2fx)", rep.Tape.Fig9Speedup))
-	}
-	if rep.Tape.FleetSpeedup <= 1.0 {
-		fail(fmt.Errorf("tape fleet sweep is not faster than interpreted (%.2fx)", rep.Tape.FleetSpeedup))
-	}
+	// The fused kernels exist to be faster; a regression fails the bench
+	// outright.
 	if rep.Kernels.FleetSpeedup <= 1.0 {
 		fail(fmt.Errorf("fused fleet sweep is not faster than scalar (%.2fx)", rep.Kernels.FleetSpeedup))
 	}
@@ -798,16 +683,10 @@ func main() {
 		fail(fmt.Errorf("pooled restores skipped no pages: dirty-region tracking inert"))
 	}
 	// The sparse PR's headline: the tape fleet sweep must clear 1.3x the
-	// throughput BENCH_PR9 recorded, on byte-identical summaries, and the
-	// compiled row-span trains must beat the interpreted row walk on the
-	// sparse-heavy layer.
+	// throughput BENCH_PR9 recorded, on byte-identical summaries.
 	if rep.Sparse.FleetGain < 1.3 {
 		fail(fmt.Errorf("tape fleet sweep at %.0f devices/sec is %.2fx of PR9's %.0f, want >= 1.3x",
 			rep.Sparse.FleetTapeDevPerSec, rep.Sparse.FleetGain, pr9FleetTapeDevPerSec))
-	}
-	if rep.Sparse.LayerSpeedup <= 1.0 {
-		fail(fmt.Errorf("sparse-layer tape pass is not faster than interpreted (%.2fx)",
-			rep.Sparse.LayerSpeedup))
 	}
 
 	// Scaling is only meaningful with real parallel hardware: on >=4 CPUs,
@@ -842,11 +721,8 @@ func main() {
 		fmt.Printf("fleet: %d devices @ %d workers: %.0f devices/sec\n",
 			rep.Fleet.Devices, p.Workers, p.DevicesPerSec)
 	}
-	fmt.Printf("tape: fig9 %.3fs -> %.3fs (%.2fx)  fleet %.0f -> %.0f devices/sec (%.2fx)  identical=%v\n",
-		float64(rep.Tape.Fig9InterpNsPerOp)/1e9, float64(rep.Tape.Fig9TapeNsPerOp)/1e9,
-		rep.Tape.Fig9Speedup,
-		rep.Tape.FleetInterpDevPerSec, rep.Tape.FleetTapeDevPerSec, rep.Tape.FleetSpeedup,
-		rep.Tape.Identical)
+	fmt.Printf("tape: fleet %d real-network devices @ 1 worker: %.0f devices/sec  sparse layer %.3fms/op\n",
+		rep.Tape.FleetDevices, rep.Tape.FleetTapeDevPerSec, float64(rep.Sparse.LayerTapeNsPerOp)/1e6)
 	fmt.Printf("kernels: fig9 %.3fs -> %.3fs (%.2fx)  fleet %.0f -> %.0f devices/sec (%.2fx)  identical=%v\n",
 		float64(rep.Kernels.Fig9ScalarNsPerOp)/1e9, float64(rep.Kernels.Fig9FusedNsPerOp)/1e9,
 		rep.Kernels.Fig9Speedup,

@@ -41,7 +41,6 @@ var profiler = prof.RegisterFlags()
 func main() {
 	var (
 		rtName   = flag.String("runtime", "all", "all, base, tile-8, tile-32, tile-128, sonic, tails, ckpt-8, broken")
-		useTape  = flag.Bool("tape", false, "fuzz the pre-decoded op-tape executors instead of the interpreted walk")
 		war      = flag.Bool("war", false, "arm the write-after-read shadow tracker")
 		seed     = flag.Uint64("seed", 1, "model seed; also seeds boundary sampling above -limit")
 		schedule = flag.String("schedule", "", "comma-separated op gaps: replay this brown-out schedule instead of sweeping")
@@ -63,7 +62,7 @@ func main() {
 		SnapStride: *stride, ForceScratch: *scratch,
 	}
 
-	rts := runtimesByName(*rtName, *useTape)
+	rts := runtimesByName(*rtName)
 	if rts == nil {
 		fail(fmt.Errorf("unknown runtime %q", *rtName))
 	}
@@ -154,7 +153,7 @@ func firstFailing(qm *dnn.QuantModel, x []float64, r *intermittest.RuntimeReport
 	if b < 0 {
 		return nil
 	}
-	c, err := intermittest.NewCheckerOpt(qm, x, runtimeByName(r.Runtime, false), opt)
+	c, err := intermittest.NewCheckerOpt(qm, x, runtimeByName(r.Runtime), opt)
 	if err != nil {
 		return []int{b}
 	}
@@ -171,32 +170,32 @@ func warFlag(on bool) string {
 // negativeControl reports whether the runtime is intentionally unsafe.
 func negativeControl(name string) bool { return name == "base" || name == "broken" }
 
-func runtimesByName(name string, tape bool) []core.Runtime {
+func runtimesByName(name string) []core.Runtime {
 	if name == "all" {
 		return []core.Runtime{
-			baseline.Base{Tape: tape},
-			baseline.Tile{TileSize: 8, Tape: tape},
-			baseline.Tile{TileSize: 32, Tape: tape},
-			baseline.Tile{TileSize: 128, Tape: tape},
-			sonic.SONIC{Tape: tape},
-			tails.TAILS{Tape: tape},
-			checkpoint.Checkpoint{Interval: 8, Tape: tape},
+			baseline.Base{},
+			baseline.Tile{TileSize: 8},
+			baseline.Tile{TileSize: 32},
+			baseline.Tile{TileSize: 128},
+			sonic.SONIC{},
+			tails.TAILS{},
+			checkpoint.Checkpoint{Interval: 8},
 			intermittest.Broken{},
 		}
 	}
-	if rt := runtimeByName(name, tape); rt != nil {
+	if rt := runtimeByName(name); rt != nil {
 		return []core.Runtime{rt}
 	}
 	return nil
 }
 
 // runtimeByName resolves fuzz targets: the fleet vocabulary plus the
-// WAR-broken negative control, which has no tape variant.
-func runtimeByName(name string, tape bool) core.Runtime {
+// WAR-broken negative control.
+func runtimeByName(name string) core.Runtime {
 	if name == "broken" {
 		return intermittest.Broken{}
 	}
-	rt, err := fleet.RuntimeByNameTape(name, tape)
+	rt, err := fleet.RuntimeByName(name)
 	if err != nil {
 		return nil
 	}

@@ -27,15 +27,11 @@ import (
 	"repro/internal/tape"
 )
 
-// Base is the unprotected straight-line implementation.
-type Base struct {
-	// Tape selects the pre-decoded op-tape executor (internal/tape): the
-	// model compiles once per process and the conv weight decode plus all
-	// per-attempt allocations leave the retry path. The issued op stream
-	// is bit-exact with the interpreted walk
-	// (TestTapeInterpreterDifferential).
-	Tape bool
-}
+// Base is the unprotected straight-line implementation. It executes from
+// the model's compiled op tape (internal/tape): the model compiles once
+// per process, and the conv weight decode and every per-attempt
+// allocation stay off the retry path.
+type Base struct{}
 
 // Name identifies the runtime.
 func (Base) Name() string { return "base" }
@@ -60,24 +56,14 @@ func (b Base) ResumeInfer(img *core.Image, atReboot func() error) ([]fixed.Q15, 
 			return nil, err
 		}
 	}
-	var prog *tape.Program
-	var sc *tape.Scratch
-	if b.Tape {
-		prog = tape.Get(img.Model)
-		sc = prog.GetScratch()
-		defer prog.PutScratch(sc)
-	}
+	prog := tape.Get(img.Model)
+	sc := prog.GetScratch()
+	defer prog.PutScratch(sc)
 	var outB bool
 	err := dev.Run(func() {
 		parity := false // input in ActA
-		if prog != nil {
-			for li := range img.Layers {
-				parity = tapeBaseLayer(dev, img, prog, li, parity, sc)
-			}
-		} else {
-			for li := range img.Layers {
-				parity = baseLayer(dev, img, li, parity)
-			}
+		for li := range img.Layers {
+			parity = tapeBaseLayer(dev, img, prog, li, parity, sc)
 		}
 		outB = parity
 	})
@@ -94,112 +80,6 @@ func actBufs(img *core.Image, parity bool) (*mem.Region, *mem.Region) {
 		return img.ActB, img.ActA
 	}
 	return img.ActA, img.ActB
-}
-
-// baseLayer executes one layer with register-state loops, returning the new
-// buffer parity.
-func baseLayer(dev *mcu.Device, img *core.Image, li int, parity bool) bool {
-	l := &img.Layers[li]
-	q := l.Q
-	src, dst := actBufs(img, parity)
-	name := core.LayerName(img.Model, li)
-	dev.SetSection(name, mcu.PhaseControl)
-
-	switch q.Kind {
-	case dnn.QConv:
-		baseConv(dev, img, l, name, src, dst)
-	case dnn.QDense:
-		baseDense(dev, l, name, src, dst)
-	case dnn.QSparseDense:
-		baseSparseDense(dev, l, name, src, dst)
-	case dnn.QReLU:
-		dev.SetSection(name, mcu.PhaseKernel)
-		n := q.InShape.Len()
-		dev.Ops(mcu.OpBranch, n)
-		dev.LoadRange(src, 0, n)
-		vals := make([]int64, n)
-		for i := 0; i < n; i++ {
-			vals[i] = int64(fixed.ReLU(fixed.Q15(src.Get(i))))
-		}
-		dev.StoreRange(dst, 0, vals)
-	case dnn.QPool:
-		basePool(dev, q, name, src, dst)
-	case dnn.QFlatten:
-		return parity // identity: no copy, no parity flip
-	}
-	return !parity
-}
-
-// baseConv computes a (possibly pruned) convolution one output at a time,
-// accumulating in a register. The weight traversal order matches the host
-// reference exactly.
-func baseConv(dev *mcu.Device, img *core.Image, l *core.LayerImage, name string,
-	src, dst *mem.Region) {
-	q := l.Q
-	h, w := q.InShape[1], q.InShape[2]
-	oh, ow := q.OutShape[1], q.OutShape[2]
-	positions := oh * ow
-	dev.SetSection(name, mcu.PhaseKernel)
-
-	// Zero the wide accumulators, then sweep filter elements, then
-	// finalize. Even Base uses the filter-element-major order (it is also
-	// the cache-friendly order on a machine with no cache, and keeps the
-	// arithmetic identical across implementations); its advantage over
-	// SONIC is purely that loop indices and partials needing no
-	// protection stay in registers where possible. Partials for all
-	// positions do not fit in registers, so they live in AccA like
-	// everyone else's — but without double buffering or index writes.
-	acc := img.AccA
-	zeros := make([]int64, q.F*positions)
-	dev.Ops(mcu.OpBranch, len(zeros))
-	dev.StoreRange(acc, 0, zeros)
-	row := make([]int64, ow)
-	apply := func(widx int) {
-		wv := fixed.Q15(dev.Load(l.W, widx))
-		kx := widx % q.KW
-		ky := (widx / q.KW) % q.KH
-		ci := (widx / (q.KW * q.KH)) % q.C
-		f := widx / (q.KW * q.KH * q.C)
-		base := f * positions
-		for oy := 0; oy < oh; oy++ {
-			srcRow := (ci*h+oy+ky)*w + kx
-			accRow := base + oy*ow
-			// One macro-op MAC per output row: same per-element op
-			// multiset as the scalar loop, charged in bulk.
-			dev.MACRange(src, srcRow, acc, accRow, ow)
-			for ox := 0; ox < ow; ox++ {
-				x := fixed.Q15(src.Get(srcRow + ox))
-				a := fixed.Acc(acc.Get(accRow + ox))
-				row[ox] = int64(a.MAC(wv, x))
-			}
-			dev.StoreRange(acc, accRow, row)
-		}
-	}
-	if l.NZ != nil {
-		for p := 0; p < l.NZ.Len(); p++ {
-			dev.Op(mcu.OpBranch)
-			apply(int(dev.Load(l.NZ, p)))
-		}
-	} else {
-		for widx := 0; widx < l.W.Len(); widx++ {
-			dev.Op(mcu.OpBranch)
-			apply(widx)
-		}
-	}
-	// Finalize: bias and rescale into Q15 activations.
-	out := make([]int64, positions)
-	for f := 0; f < q.F; f++ {
-		b := fixed.Q15(dev.Load(l.B, f))
-		base := f * positions
-		dev.Ops(mcu.OpBranch, positions)
-		dev.LoadRange(acc, base, positions)
-		dev.Ops(mcu.OpFixedAdd, positions)
-		for i := 0; i < positions; i++ {
-			a := fixed.Acc(acc.Get(base + i))
-			out[i] = int64(a.AddQ(b).SatShiftSigned(q.Shift))
-		}
-		dev.StoreRange(dst, base, out)
-	}
 }
 
 // baseDense computes a fully-connected layer one output at a time with a

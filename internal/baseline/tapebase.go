@@ -10,12 +10,11 @@ import (
 	"repro/internal/tape"
 )
 
-// tapeBaseLayer is baseLayer executing from the compiled program: the
-// identical op stream, with the conv weight decode read from tables and
-// every per-attempt allocation replaced by pooled scratch. Dense, sparse,
-// and pooling kernels are already decode-free, so they run the shared
-// interpreted bodies. Any change here must stay bit-exact with baseLayer
-// (TestTapeInterpreterDifferential enforces it).
+// tapeBaseLayer executes one layer with register-state loops from the
+// compiled program, returning the new buffer parity. The conv weight
+// decode is read from tables and every per-attempt buffer comes from
+// pooled scratch; dense, sparse, and pooling kernels are decode-free.
+// TestExecutorGolden pins the op stream it issues.
 func tapeBaseLayer(dev *mcu.Device, img *core.Image, prog *tape.Program, li int,
 	parity bool, sc *tape.Scratch) bool {
 	l := &img.Layers[li]
@@ -47,9 +46,11 @@ func tapeBaseLayer(dev *mcu.Device, img *core.Image, prog *tape.Program, li int,
 	return !parity
 }
 
-// tapeBaseConv is baseConv with the per-element (kx, ky, ci, f) div/mod
-// decode replaced by the program's WSrc/WAccBase tables and the zero/row/
-// finalize buffers drawn from scratch instead of fresh allocations.
+// tapeBaseConv computes a (possibly pruned) convolution, accumulating
+// each output row with one macro-op MAC. The weight traversal order
+// matches the host reference exactly. The per-element (kx, ky, ci, f)
+// decode comes from the program's WSrc/WAccBase tables, and the zero/row/
+// finalize buffers are drawn from scratch.
 func tapeBaseConv(dev *mcu.Device, img *core.Image, prog *tape.Program,
 	l *core.LayerImage, tl *tape.Layer, src, dst *mem.Region, sc *tape.Scratch) {
 	q := l.Q
@@ -58,6 +59,14 @@ func tapeBaseConv(dev *mcu.Device, img *core.Image, prog *tape.Program,
 	positions := tl.Positions
 	dev.SetSection(tl.Name, mcu.PhaseKernel)
 
+	// Zero the wide accumulators, then sweep filter elements, then
+	// finalize. Even Base uses the filter-element-major order (it is also
+	// the cache-friendly order on a machine with no cache, and keeps the
+	// arithmetic identical across implementations); its advantage over
+	// SONIC is purely that loop indices and partials needing no
+	// protection stay in registers where possible. Partials for all
+	// positions do not fit in registers, so they live in AccA like
+	// everyone else's — but without double buffering or index writes.
 	acc := img.AccA
 	n := q.F * positions
 	dev.Ops(mcu.OpBranch, n)
@@ -90,6 +99,7 @@ func tapeBaseConv(dev *mcu.Device, img *core.Image, prog *tape.Program,
 			apply(widx)
 		}
 	}
+	// Finalize: bias and rescale into Q15 activations.
 	out := sc.Out[:positions]
 	for f := 0; f < q.F; f++ {
 		b := fixed.Q15(dev.Load(l.B, f))

@@ -29,11 +29,6 @@ type Tile struct {
 	TileSize int
 	// LogEntries sizes the runtime redo log (default DefaultLogEntries).
 	LogEntries int
-	// Tape sources the conv/pool decode memos from the model's compiled
-	// program (internal/tape) instead of rebuilding them on every
-	// inference. Bit-exact with the interpreted build
-	// (TestTapeInterpreterDifferential).
-	Tape bool
 }
 
 // DefaultLogEntries is sized for the largest per-task write set: a tile of
@@ -92,10 +87,7 @@ func (t Tile) ResumeInfer(img *core.Image, atReboot func() error) ([]fixed.Q15, 
 		}
 	}
 
-	b := tileBuilder{img: img, rt: rt, k: t.TileSize}
-	if t.Tape {
-		b.prog = tape.Get(img.Model)
-	}
+	b := tileBuilder{img: img, rt: rt, k: t.TileSize, prog: tape.Get(img.Model)}
 	outB, err := b.build()
 	if err != nil {
 		return nil, err
@@ -136,17 +128,9 @@ type tileBuilder struct {
 	img *core.Image
 	rt  *task.Runtime
 	k   int
-	// prog, when set, supplies the pre-decoded per-layer tables so the
-	// builder skips its per-inference decode-memo construction.
+	// prog supplies the pre-decoded per-layer tables: section labels and
+	// the conv and pooling coordinate decodes.
 	prog *tape.Program
-}
-
-// layerTape returns layer li's compiled tables, or nil without a program.
-func (b *tileBuilder) layerTape(li int) *tape.Layer {
-	if b.prog == nil {
-		return nil
-	}
-	return &b.prog.Layers[li]
 }
 
 // build creates all tasks in execution order; task 0 is the entry. It
@@ -174,16 +158,17 @@ func (b *tileBuilder) build() (bool, error) {
 		l := &b.img.Layers[li]
 		q := l.Q
 		src, dst := actBufs(b.img, parity)
-		layer := core.LayerName(b.img.Model, li)
+		tl := &b.prog.Layers[li]
+		layer := tl.Name
 		switch q.Kind {
 		case dnn.QConv:
-			b.convPasses(addPass, l, li, layer, src, dst)
+			b.convPasses(addPass, l, tl, src, dst)
 			parity = !parity
 		case dnn.QDense:
 			b.densePasses(addPass, l, layer, src, dst)
 			parity = !parity
 		case dnn.QSparseDense:
-			b.sparsePasses(addPass, l, li, layer, src, dst)
+			b.sparsePasses(addPass, l, layer, src, dst)
 			parity = !parity
 		case dnn.QReLU:
 			n := q.InShape.Len()
@@ -209,7 +194,7 @@ func (b *tileBuilder) build() (bool, error) {
 			})
 			parity = !parity
 		case dnn.QPool:
-			b.poolPass(addPass, q, li, layer, src, dst)
+			b.poolPass(addPass, q, tl, src, dst)
 			parity = !parity
 		case dnn.QFlatten:
 			// identity
@@ -217,10 +202,8 @@ func (b *tileBuilder) build() (bool, error) {
 	}
 
 	// Materialize each pass as one self-transitioning task over a shared
-	// cursor in the control block. The tape build pre-resolves each pass's
-	// two attribution sections into tokens — same accounting, no
-	// per-activation Section construction; the interpreted build keeps the
-	// string path as the independent reference.
+	// cursor in the control block. Each pass's two attribution sections
+	// are pre-resolved into tokens, so no activation constructs a Section.
 	ctl := b.img.Ctl
 	for pi := range passes {
 		p := passes[pi]
@@ -246,32 +229,15 @@ func (b *tileBuilder) build() (bool, error) {
 			}
 			return end, self
 		}
-		if b.prog != nil {
-			tokC := b.img.Dev.SectionToken(p.layer, mcu.PhaseControl)
-			tokK := b.img.Dev.SectionToken(p.layer, mcu.PhaseKernel)
-			b.rt.Add(p.name, func(c *task.Ctx) task.ID {
-				dev := c.Dev()
-				dev.SetSectionTok(tokC)
-				base := int(c.Read(ctl, tileCursorSlot))
-				dev.SetSectionTok(tokK)
-				end, to := body(c, base)
-				dev.SetSectionTok(tokC)
-				if to != self {
-					c.Write(ctl, tileCursorSlot, 0) // reset for next pass
-				} else {
-					c.Write(ctl, tileCursorSlot, int64(end))
-				}
-				return to
-			})
-			continue
-		}
+		tokC := b.img.Dev.SectionToken(p.layer, mcu.PhaseControl)
+		tokK := b.img.Dev.SectionToken(p.layer, mcu.PhaseKernel)
 		b.rt.Add(p.name, func(c *task.Ctx) task.ID {
 			dev := c.Dev()
-			dev.SetSection(p.layer, mcu.PhaseControl)
+			dev.SetSectionTok(tokC)
 			base := int(c.Read(ctl, tileCursorSlot))
-			dev.SetSection(p.layer, mcu.PhaseKernel)
+			dev.SetSectionTok(tokK)
 			end, to := body(c, base)
-			dev.SetSection(p.layer, mcu.PhaseControl)
+			dev.SetSectionTok(tokC)
 			if to != self {
 				c.Write(ctl, tileCursorSlot, 0) // reset for next pass
 			} else {
@@ -288,48 +254,19 @@ func (b *tileBuilder) build() (bool, error) {
 // accumulate — "a[i] += b[i] × c" exactly as in the paper's Fig. 6 — on
 // the task-shared partial buffer, so every iteration pays privatization.
 func (b *tileBuilder) convPasses(addPass addPassFn,
-	l *core.LayerImage, li int, layer string, src, dst *mem.Region) {
+	l *core.LayerImage, tl *tape.Layer, src, dst *mem.Region) {
 	q := l.Q
-	h, w := q.InShape[1], q.InShape[2]
-	oh, ow := q.OutShape[1], q.OutShape[2]
-	positions := oh * ow
+	ow := q.OutShape[2]
+	positions := tl.Positions
 	acc := b.img.AccA
-	elemsPerFilter := q.C * q.KH * q.KW
-	elems := l.W.Len()
-	if l.NZ != nil {
-		elems = l.NZ.Len()
-	}
+	layer := tl.Name
 
-	// Host-side decode memos: per weight index the unpacked filter
+	// Compiled decode tables: per weight index the unpacked filter
 	// coordinates folded into base offsets, per output position its
 	// row-major input offset. They replace the div/mod chains the kernel
-	// closure would otherwise recompute on every MAC; the simulated op
-	// stream is unchanged. With a compiled program the tables come
-	// pre-built (the same formulas, computed once per process); otherwise
-	// they are rebuilt here on every inference.
-	var wSrc, wAcc []int32
-	var wFirst []bool // dense layout only: indexed by widx == walked pos
-	var posTab []int32
-	if tl := b.layerTape(li); tl != nil {
-		wSrc, wAcc, wFirst, posTab = tl.WSrc, tl.WAccBase, tl.First, tl.PosOff
-	} else {
-		wSrc = make([]int32, l.W.Len())
-		wAcc = make([]int32, l.W.Len())
-		wFirst = make([]bool, l.W.Len())
-		for widx := range wSrc {
-			kx := widx % q.KW
-			ky := (widx / q.KW) % q.KH
-			ci := (widx / (q.KW * q.KH)) % q.C
-			f := widx / elemsPerFilter
-			wSrc[widx] = int32((ci*h+ky)*w + kx)
-			wAcc[widx] = int32(f * positions)
-			wFirst[widx] = widx%elemsPerFilter == 0
-		}
-		posTab = make([]int32, positions)
-		for i := range posTab {
-			posTab[i] = int32((i/ow)*w + i%ow)
-		}
-	}
+	// closure would otherwise recompute on every MAC.
+	wSrc, wAcc, posTab := tl.WSrc, tl.WAccBase, tl.PosOff
+	wFirst := tl.First // dense layout only: indexed by widx == walked pos
 
 	// apply performs one MAC: filter element `e` at output position `i`.
 	apply := func(c *task.Ctx, e, i int) {
@@ -399,9 +336,7 @@ func (b *tileBuilder) convPasses(addPass addPassFn,
 				// accumulator-generation read are one ReadRange call, so the
 				// write-set epoch table is scanned once as the gate instead
 				// of a Fresh scan followed by a second ReadRange scan. The
-				// chunk's charge order is a bulk regrouping either way, and
-				// interp and tape both execute this same body, so brown-outs
-				// land identically on both executors.
+				// chunk's charge order is a bulk regrouping either way.
 				bulk := n >= minBulk
 				if bulk && first {
 					bulk = c.Fresh(acc, pos0, n)
@@ -435,7 +370,7 @@ func (b *tileBuilder) convPasses(addPass addPassFn,
 			}
 		}
 	}
-	addPass("conv-acc", layer, elems*positions, accIter, accRange)
+	addPass("conv-acc", layer, tl.Elems*positions, accIter, accRange)
 
 	finIter := func(c *task.Ctx, i int) {
 		dev := c.Dev()
@@ -561,7 +496,7 @@ func (b *tileBuilder) densePasses(addPass addPassFn,
 // its row's partial — the WAR pattern that forces redo-logging here and
 // that SONIC's sparse undo-logging replaces.
 func (b *tileBuilder) sparsePasses(addPass addPassFn,
-	l *core.LayerImage, li int, layer string, src, dst *mem.Region) {
+	l *core.LayerImage, layer string, src, dst *mem.Region) {
 	q := l.Q
 	acc := b.img.AccA
 	zeroIter := func(c *task.Ctx, o int) {
@@ -601,9 +536,7 @@ func (b *tileBuilder) sparsePasses(addPass addPassFn,
 	// every other rangeFn's chunk math: one AccumulateRow per segment
 	// replaces that row's read-modify-write chain through the redo log,
 	// and the probe loop is charged from its host-counted step count. The
-	// op multiset per iteration is identical to the scalar body's, and
-	// both executors run this same body, so a brown-out mid-chunk wastes
-	// the same charged prefix in each.
+	// op multiset per iteration is identical to the scalar body's.
 	rowPtr := q.RowPtr
 	rowPtrKind := loadKind(l.RowPtr)
 	wKind, colsKind, srcKind := loadKind(l.W), loadKind(l.Cols), loadKind(src)
@@ -713,31 +646,17 @@ func sparseRowOf(dev *mcu.Device, l *core.LayerImage, p, rows int) int {
 	return lo
 }
 
-// poolPass emits the pooling pass: one output element per iteration. With
-// a compiled program the window-origin decode comes from the PoolBase
-// table instead of the per-iteration div/mod chain.
+// poolPass emits the pooling pass: one output element per iteration, with
+// the window-origin decode read from the compiled PoolBase table.
 func (b *tileBuilder) poolPass(addPass addPassFn,
-	q *dnn.QuantLayer, li int, layer string, src, dst *mem.Region) {
-	c0, h, w := q.InShape[0], q.InShape[1], q.InShape[2]
-	oh, ow := h/q.Window, w/q.Window
-	var poolBase []int32
-	if tl := b.layerTape(li); tl != nil {
-		poolBase = tl.PoolBase
-	}
-	addPass("pool", layer, c0*oh*ow, func(c *task.Ctx, i int) {
+	q *dnn.QuantLayer, tl *tape.Layer, src, dst *mem.Region) {
+	w := q.InShape[2]
+	poolBase := tl.PoolBase
+	addPass("pool", tl.Name, len(poolBase), func(c *task.Ctx, i int) {
 		dev := c.Dev()
-		var origin int
-		if poolBase != nil {
-			origin = int(poolBase[i])
-		} else {
-			ox := i % ow
-			oy := (i / ow) % oh
-			ci := i / (ow * oh)
-			origin = (ci*h+oy*q.Window)*w + ox*q.Window
-		}
 		best := fixed.MinusOne
 		for ky := 0; ky < q.Window; ky++ {
-			rowStart := origin + ky*w
+			rowStart := int(poolBase[i]) + ky*w
 			for kx := 0; kx < q.Window; kx++ {
 				dev.Op(mcu.OpBranch)
 				v := fixed.Q15(dev.Load(src, rowStart+kx))

@@ -30,7 +30,6 @@ import (
 	"repro/internal/fixed"
 	"repro/internal/mcu"
 	"repro/internal/sonic"
-	"repro/internal/tape"
 )
 
 // DefaultRegWords models the volatile state a conservative software
@@ -43,10 +42,6 @@ type Checkpoint struct {
 	Interval int
 	// RegWords overrides the modelled dump size (default DefaultRegWords).
 	RegWords int
-	// Tape selects the pre-decoded op-tape kernels (sonic.TapeLayerFn);
-	// the checkpoint policy itself is unchanged, and the op stream is
-	// bit-exact with the interpreted walk.
-	Tape bool
 }
 
 // Name identifies the runtime, e.g. "ckpt-64".
@@ -77,15 +72,9 @@ func (c Checkpoint) ResumeInfer(img *core.Image, atReboot func() error) ([]fixed
 			return nil, err
 		}
 	}
-	var layerFn sonic.LayerFn = func(s *sonic.Exec, li int, parity bool, start sonic.Cursor) {
-		s.RunLayerSoftware(li, parity, start)
-	}
-	if c.Tape {
-		layerFn = sonic.TapeLayerFn(tape.Get(img.Model))
-	}
 	if err := e.Dev.Run(func() {
 		e.ResetVolatile()
-		e.Run(layerFn)
+		e.Run((*sonic.Exec).RunLayerSoftware)
 	}); err != nil {
 		return nil, err
 	}

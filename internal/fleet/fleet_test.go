@@ -287,7 +287,10 @@ func TestFleetRuntimeByName(t *testing.T) {
 			t.Fatalf("RuntimeByName(%q).Name() = %q", name, rt.Name())
 		}
 	}
-	for _, name := range []string{"", "tile-", "tile-0", "ckpt-x", "alpaca"} {
+	// Names the simulator cannot run, and respellings of a valid name
+	// that would give its campaign a second content hash.
+	for _, name := range []string{"", "tile-", "tile-0", "ckpt-x", "alpaca",
+		"ckpt-0", "ckpt-1", "tile-08", "tile-+8", "ckpt-08", "ckpt-+8", "tile- 8"} {
 		if _, err := RuntimeByName(name); err == nil {
 			t.Fatalf("RuntimeByName(%q) did not error", name)
 		}

@@ -13,9 +13,9 @@ import (
 // deployed a single time and its post-deploy FRAM/SRAM captured with the
 // page-shared snapshot machinery. Every pooled fleet device of that model
 // is then provisioned by restoring the snapshots in place instead of
-// re-running Deploy. Deploy is a pure function of the model (executor
-// choices — tape, fusion — only affect how inference runs, not the
-// flashed image), so one prototype serves every runtime and power class
+// re-running Deploy. Deploy is a pure function of the model (execution
+// choices such as fusion only affect how inference runs, not the flashed
+// image), so one prototype serves every runtime and power class
 // of a campaign, and prototypes are immutable and safe to share across
 // campaigns and workers.
 type Prototype struct {

@@ -64,25 +64,18 @@ type Spec struct {
 	// affects sketch compression points, so changing it may change
 	// aggregate bits (never their statistical meaning).
 	Shards int `json:"shards,omitempty"`
-	// Interpreted runs every runtime of the campaign on the interpreted
-	// layer walk instead of the pre-decoded op-tape executors campaigns
-	// use by default. The two are bit-exact (TestTapeInterpreterDifferential,
-	// TestServedGridGolden), so this is an executor choice, not campaign
-	// identity, and stays out of the content hash. It exists for A/B
-	// verification and benchmarking.
-	Interpreted bool `json:"interpreted,omitempty"`
 	// NoFuse forces the scalar op-by-op execution path even where the
 	// fused bulk kernels could engage. Fused and scalar paths are
-	// bit-exact (TestFusedScalarDifferential), so like Interpreted this is
-	// an executor choice, not campaign identity, and stays out of the hash.
-	// It exists for A/B verification and benchmarking.
+	// bit-exact (TestFusedScalarDifferential), so this is an execution
+	// choice, not campaign identity, and stays out of the hash. It exists
+	// for A/B verification and benchmarking.
 	NoFuse bool `json:"no_fuse,omitempty"`
 	// Fresh disables pooled COW provisioning: every device pays a full
 	// mcu.New + core.Deploy instead of a restore-in-place into its
 	// worker's device pool. Provisioned and fresh fleets are bit-identical
-	// (TestProvisionedFleetBitIdentical), so like Interpreted and NoFuse
-	// this is an executor choice, not campaign identity, and stays out of
-	// the hash. It exists for A/B verification and benchmarking.
+	// (TestProvisionedFleetBitIdentical), so like NoFuse this is an
+	// execution choice, not campaign identity, and stays out of the hash.
+	// It exists for A/B verification and benchmarking.
 	Fresh bool `json:"fresh,omitempty"`
 }
 
@@ -187,9 +180,8 @@ func (s *Spec) Hash() string {
 	// no maps, so the encoding is canonical.
 	norm := *s
 	norm.Shards = s.shardCount()
-	norm.Interpreted = false // executor choice, not campaign identity
-	norm.NoFuse = false      // likewise bit-exact, see TestFusedScalarDifferential
-	norm.Fresh = false       // likewise bit-exact, see TestProvisionedFleetBitIdentical
+	norm.NoFuse = false // bit-exact, see TestFusedScalarDifferential
+	norm.Fresh = false  // bit-exact, see TestProvisionedFleetBitIdentical
 	buf, err := json.Marshal(&norm)
 	if err != nil {
 		panic("fleet: spec does not marshal: " + err.Error())
@@ -212,44 +204,56 @@ type Model struct {
 }
 
 // RuntimeByName resolves a runtime name to a fresh instance: the fixed
-// Fig. 9 set plus parameterized "tile-N" and "ckpt-N" forms.
+// Fig. 9 set plus parameterized "tile-N" and "ckpt-N" forms. Every name it
+// accepts is one the simulator can run, spelled the one way that campaign
+// is spelled, so a spec that validates never fails on its runtime names
+// and equal campaigns share a content hash.
 func RuntimeByName(name string) (core.Runtime, error) {
-	return RuntimeByNameTape(name, false)
-}
-
-// RuntimeByNameTape is RuntimeByName with the executor chosen: tape
-// sets every resolved runtime's Tape knob. Campaigns resolve their
-// runtimes through it with tape on unless Spec.Interpreted is set.
-func RuntimeByNameTape(name string, tape bool) (core.Runtime, error) {
 	switch name {
 	case "base":
-		return baseline.Base{Tape: tape}, nil
+		return baseline.Base{}, nil
 	case "sonic":
-		return sonic.SONIC{Tape: tape}, nil
+		return sonic.SONIC{}, nil
 	case "tails":
-		return tails.TAILS{Tape: tape}, nil
+		return tails.TAILS{}, nil
 	}
 	// A malformed parameter on a recognized "tile-"/"ckpt-" prefix is not
 	// an unknown runtime: report what is actually wrong with it.
 	if n, ok := strings.CutPrefix(name, "tile-"); ok {
-		size, err := strconv.Atoi(n)
+		size, err := runtimeParam(name, "tile size", n)
 		if err != nil {
-			return nil, fmt.Errorf("fleet: runtime %q: tile size %q is not a number", name, n)
+			return nil, err
 		}
 		if size <= 0 {
 			return nil, fmt.Errorf("fleet: runtime %q: tile size must be positive, got %d", name, size)
 		}
-		return baseline.Tile{TileSize: size, Tape: tape}, nil
+		return baseline.Tile{TileSize: size}, nil
 	}
 	if n, ok := strings.CutPrefix(name, "ckpt-"); ok {
-		iv, err := strconv.Atoi(n)
+		iv, err := runtimeParam(name, "checkpoint interval", n)
 		if err != nil {
-			return nil, fmt.Errorf("fleet: runtime %q: checkpoint interval %q is not a number", name, n)
+			return nil, err
 		}
-		if iv <= 0 {
-			return nil, fmt.Errorf("fleet: runtime %q: checkpoint interval must be positive, got %d", name, iv)
+		if iv < 2 {
+			// checkpoint.Checkpoint refuses these at inference time.
+			return nil, fmt.Errorf("fleet: runtime %q: checkpoint interval must be >= 2, got %d", name, iv)
 		}
-		return checkpoint.Checkpoint{Interval: iv, Tape: tape}, nil
+		return checkpoint.Checkpoint{Interval: iv}, nil
 	}
 	return nil, fmt.Errorf("fleet: unknown runtime %q", name)
+}
+
+// runtimeParam parses the decimal parameter n of runtime name. Only the
+// canonical spelling is accepted: "tile-08" or "tile-+8" would run
+// tile-8's campaign under a different Spec.Hash, and content-addressed
+// dedup would re-simulate the whole fleet for a respelling.
+func runtimeParam(name, what, n string) (int, error) {
+	v, err := strconv.Atoi(n)
+	if err != nil {
+		return 0, fmt.Errorf("fleet: runtime %q: %s %q is not a number", name, what, n)
+	}
+	if strconv.Itoa(v) != n {
+		return 0, fmt.Errorf("fleet: runtime %q: %s %q is not in canonical form %q", name, what, n, strconv.Itoa(v))
+	}
+	return v, nil
 }

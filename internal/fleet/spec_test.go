@@ -4,11 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/baseline"
-	"repro/internal/checkpoint"
 	"repro/internal/energy"
-	"repro/internal/sonic"
-	"repro/internal/tails"
 )
 
 // TestFleetSpecHashShardNormalization is the dedup regression for the
@@ -43,14 +39,6 @@ func TestFleetSpecHashShardNormalization(t *testing.T) {
 	if zero.Hash() == other.Hash() {
 		t.Fatal("different effective shard counts hash identically")
 	}
-
-	// The executor knob selects a walk proven bit-exact with the tape;
-	// it is not campaign identity.
-	interp := testSpec(100)
-	interp.Interpreted = true
-	if zero.Hash() != interp.Hash() {
-		t.Fatal("Interpreted changed the content hash despite identical results")
-	}
 }
 
 // TestFleetRuntimeByNameErrors pins the parse diagnostics: a malformed
@@ -64,7 +52,10 @@ func TestFleetRuntimeByNameErrors(t *testing.T) {
 		{"tile-0", `runtime "tile-0": tile size must be positive, got 0`},
 		{"tile--4", `runtime "tile--4": tile size must be positive, got -4`},
 		{"tile-x", `runtime "tile-x": tile size "x" is not a number`},
-		{"ckpt-0", `runtime "ckpt-0": checkpoint interval must be positive, got 0`},
+		{"ckpt-0", `runtime "ckpt-0": checkpoint interval must be >= 2, got 0`},
+		{"ckpt-1", `runtime "ckpt-1": checkpoint interval must be >= 2, got 1`},
+		{"tile-08", `runtime "tile-08": tile size "08" is not in canonical form "8"`},
+		{"ckpt-+8", `runtime "ckpt-+8": checkpoint interval "+8" is not in canonical form "8"`},
 		{"ckpt-x", `runtime "ckpt-x": checkpoint interval "x" is not a number`},
 		{"alpaca", `unknown runtime "alpaca"`},
 		{"", `unknown runtime ""`},
@@ -77,38 +68,6 @@ func TestFleetRuntimeByNameErrors(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("RuntimeByName(%q) = %q, want it to contain %q", tc.name, err, tc.want)
-		}
-	}
-}
-
-// TestFleetRuntimeByNameTape checks the tape knob threads into every
-// resolvable runtime without changing its name.
-func TestFleetRuntimeByNameTape(t *testing.T) {
-	for _, name := range []string{"base", "tile-8", "tile-32", "tile-128", "sonic", "tails", "ckpt-8"} {
-		rt, err := RuntimeByNameTape(name, true)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if rt.Name() != name {
-			t.Fatalf("RuntimeByNameTape(%q).Name() = %q", name, rt.Name())
-		}
-		var tape bool
-		switch r := rt.(type) {
-		case baseline.Base:
-			tape = r.Tape
-		case baseline.Tile:
-			tape = r.Tape
-		case sonic.SONIC:
-			tape = r.Tape
-		case tails.TAILS:
-			tape = r.Tape
-		case checkpoint.Checkpoint:
-			tape = r.Tape
-		default:
-			t.Fatalf("%s resolved to unexpected type %T", name, rt)
-		}
-		if !tape {
-			t.Fatalf("RuntimeByNameTape(%q, true) left the tape knob off", name)
 		}
 	}
 }

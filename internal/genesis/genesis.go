@@ -27,6 +27,7 @@ import (
 	"repro/internal/imodel"
 	"repro/internal/mcu"
 	"repro/internal/tails"
+	"repro/internal/tape"
 )
 
 // Technique identifies which compression family a configuration uses.
@@ -352,6 +353,10 @@ func evaluateNetwork(n *dnn.Network, ds *dataset.Dataset, opts Options, evalWork
 		return res
 	}
 	defer img.Release()
+	// The runtime compiles qm's op tape into the process-wide cache, which
+	// exists for models deployed many times; a candidate runs once here,
+	// so drop its program rather than pin it for the life of the process.
+	defer tape.Forget(qm)
 	if _, err := rt.Infer(img, qm.QuantizeInput(ds.Test[0].X)); err != nil {
 		res.Feasible = false
 		res.Err = fmt.Sprintf("infer: %v", err)

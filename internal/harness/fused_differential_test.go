@@ -60,8 +60,8 @@ func fusedRun(t *testing.T, qm *dnn.QuantModel, qin []fixed.Q15,
 // fusedPowers returns the power systems the fused oracle sweeps: the
 // devirtualized kinds fusion engages on. Count-based fail schedules are
 // deliberately absent — they are not bulk-fundable, so fusion never
-// engages there (TestTapeInterpreterDifferential already covers them on
-// the scalar path).
+// engages there (TestExecutorGolden already covers them on the scalar
+// path).
 func fusedPowers() []struct {
 	name string
 	mk   func() energy.System
@@ -81,41 +81,31 @@ func fusedPowers() []struct {
 }
 
 // TestFusedScalarDifferential is the fused-kernel fast path's oracle: for
-// every runtime in both executors, under continuous power and real
+// every runtime, under continuous power and real
 // capacitor/harvester brown-out cycles, a run with fused bulk kernels
 // allowed must be bit-identical — logits, cycles, integer-picojoule
 // energy, per-op counts, per-section stats, MaxRegionOps, reboot count,
 // dead time, and the wasted-work figure — to the same run with
 // Device.NoFuse pinning the scalar op-by-op path.
 //
-// Like the bulk/tape oracles, CI greps for each runtime's PASS line and
+// Like the bulk oracle, CI greps for each runtime's PASS line and
 // rejects skips.
 func TestFusedScalarDifferential(t *testing.T) {
 	qm, x := intermittest.TinyModel(1)
 	qin := qm.QuantizeInput(x)
 
-	for _, pair := range tapePairs() {
-		pair := pair
-		for _, ex := range []struct {
-			label string
-			rt    core.Runtime
-		}{
-			{pair.interp.Name(), pair.interp},
-			{pair.interp.Name() + "-tape", pair.tape},
-		} {
-			ex := ex
-			t.Run(ex.label, func(t *testing.T) {
-				for _, pw := range fusedPowers() {
-					fused := fusedRun(t, qm, qin, ex.rt, pw.mk(), false)
-					scalar := fusedRun(t, qm, qin, ex.rt, pw.mk(), true)
-					diffCompare(t, pw.name, fused.diffObservation, scalar.diffObservation)
-					if fused.WastedNJ != scalar.WastedNJ {
-						t.Errorf("%s: WastedNJ diverges: fused=%v scalar=%v",
-							pw.name, fused.WastedNJ, scalar.WastedNJ)
-					}
+	for _, rt := range allRuntimes() {
+		t.Run(rt.Name(), func(t *testing.T) {
+			for _, pw := range fusedPowers() {
+				fused := fusedRun(t, qm, qin, rt, pw.mk(), false)
+				scalar := fusedRun(t, qm, qin, rt, pw.mk(), true)
+				diffCompare(t, pw.name, fused.diffObservation, scalar.diffObservation)
+				if fused.WastedNJ != scalar.WastedNJ {
+					t.Errorf("%s: WastedNJ diverges: fused=%v scalar=%v",
+						pw.name, fused.WastedNJ, scalar.WastedNJ)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -130,8 +120,7 @@ func TestTrackWastedMatchesTraceAnalysis(t *testing.T) {
 	qm, x := intermittest.TinyModel(1)
 	qin := qm.QuantizeInput(x)
 
-	for _, pair := range tapePairs() {
-		rt := pair.tape
+	for _, rt := range allRuntimes() {
 		t.Run(rt.Name(), func(t *testing.T) {
 			power := func() energy.System {
 				return energy.NewIntermittent(energy.Cap100uF, energy.ConstantHarvester{Watts: 1e-3})
@@ -209,7 +198,7 @@ func (c *putCounter) OnPut(*mem.Region, int, int64) { c.n++ }
 func TestFusedSnapshotCOWAndObserver(t *testing.T) {
 	qm, x := intermittest.TinyModel(1)
 	qin := qm.QuantizeInput(x)
-	rt := sonic.SONIC{Tape: true}
+	rt := sonic.SONIC{}
 
 	t.Run("snapshot-cow", func(t *testing.T) {
 		dev := mcu.New(energy.Continuous{})

@@ -83,20 +83,6 @@ func Runtimes() []core.Runtime {
 	}
 }
 
-// TapeRuntimes returns the same six implementations with the pre-decoded
-// op-tape executors selected: bit-identical results (enforced by
-// TestTapeInterpreterDifferential), faster host simulation.
-func TapeRuntimes() []core.Runtime {
-	return []core.Runtime{
-		baseline.Base{Tape: true},
-		baseline.Tile{TileSize: 8, Tape: true},
-		baseline.Tile{TileSize: 32, Tape: true},
-		baseline.Tile{TileSize: 128, Tape: true},
-		sonic.SONIC{Tape: true},
-		tails.TAILS{Tape: true},
-	}
-}
-
 // RunResult is one measured (network, runtime, power) cell.
 type RunResult struct {
 	Net, Runtime, Power string

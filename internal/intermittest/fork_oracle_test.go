@@ -12,37 +12,20 @@ import (
 	"repro/internal/tails"
 )
 
-// forkRuntime pairs a runtime with an explicit subtest label: the tape
-// variants share Name() with their interpreted twins (the executor is not
-// part of the runtime's identity), so the label disambiguates.
-type forkRuntime struct {
-	label string
-	rt    core.Runtime
-}
-
 // forkRuntimes is every runtime the fork oracle must cover: the six Fig. 9
 // implementations, the checkpoint baseline, and the deliberately unsafe
 // negative control — whose corrupted verdicts must survive forking
-// bit-for-bit just as faithfully as the clean runtimes' verdicts do — plus
-// the op-tape variant of each real runtime, so journal/snapshot forking is
-// proven against both executors.
-func forkRuntimes() []forkRuntime {
-	return []forkRuntime{
-		{"base", baseline.Base{}},
-		{"base-tape", baseline.Base{Tape: true}},
-		{"tile-8", baseline.Tile{TileSize: 8}},
-		{"tile-8-tape", baseline.Tile{TileSize: 8, Tape: true}},
-		{"tile-32", baseline.Tile{TileSize: 32}},
-		{"tile-32-tape", baseline.Tile{TileSize: 32, Tape: true}},
-		{"tile-128", baseline.Tile{TileSize: 128}},
-		{"tile-128-tape", baseline.Tile{TileSize: 128, Tape: true}},
-		{"sonic", sonic.SONIC{}},
-		{"sonic-tape", sonic.SONIC{Tape: true}},
-		{"tails", tails.TAILS{}},
-		{"tails-tape", tails.TAILS{Tape: true}},
-		{"ckpt-8", checkpoint.Checkpoint{Interval: 8}},
-		{"ckpt-8-tape", checkpoint.Checkpoint{Interval: 8, Tape: true}},
-		{"broken", Broken{}},
+// bit-for-bit just as faithfully as the clean runtimes' verdicts do.
+func forkRuntimes() []core.Runtime {
+	return []core.Runtime{
+		baseline.Base{},
+		baseline.Tile{TileSize: 8},
+		baseline.Tile{TileSize: 32},
+		baseline.Tile{TileSize: 128},
+		sonic.SONIC{},
+		tails.TAILS{},
+		checkpoint.Checkpoint{Interval: 8},
+		Broken{},
 	}
 }
 
@@ -97,8 +80,8 @@ func diffResults(t *testing.T, label string, want, got *ScheduleResult) bool {
 // per-runtime PASS lines.
 func TestForkDifferentialOracle(t *testing.T) {
 	qm, x := TinyModel(1)
-	for _, fr := range forkRuntimes() {
-		rt, label := fr.rt, fr.label
+	for _, rt := range forkRuntimes() {
+		label := rt.Name()
 		t.Run(label, func(t *testing.T) {
 			t.Parallel()
 			scratch, err := NewCheckerOpt(qm, x, rt, Options{CheckWAR: true, ForceScratch: true})

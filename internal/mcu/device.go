@@ -484,8 +484,8 @@ func (d *Device) Section() (string, Phase) { return d.section.Layer, d.section.P
 // pair once per layer and switching by token replaces the per-iteration
 // string construction and comparison with an index load. The accounting is
 // identical to SetSection's — tokens cache pointers into the same
-// stats.Sections entries — so the attributed Stats are bit-exact with the
-// interpreted walk's.
+// stats.Sections entries — so the attributed Stats are bit-exact with
+// per-iteration SetSection calls.
 type SectionTok int
 
 // tokEntry caches one token's resolved stats. gen guards against stats
@@ -502,7 +502,7 @@ type tokEntry struct {
 // tape executors resolve a layer's phases once per layer visit. The stats
 // entry is materialized lazily, on the first switch — exactly when
 // SetSection would create it — so a run that dies before ever entering the
-// section leaves the same Sections map the interpreted walk would.
+// section leaves the same Sections map SetSection would.
 func (d *Device) SectionToken(layer string, phase Phase) SectionTok {
 	// Dedupe on (layer, phase): executors re-register on every layer visit
 	// (once per reboot attempt), and handing back the existing token keeps

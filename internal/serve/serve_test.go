@@ -209,16 +209,16 @@ func TestServeShardSpellingDedup(t *testing.T) {
 		t.Fatalf("shard spelling re-simulated the fleet: before=%+v after=%+v", before, after)
 	}
 
-	// The executor knob is a choice with proven-identical results; it
-	// must hit the same cache entry too.
-	interp := tinySpec(300)
-	interp.Interpreted = true
-	id, code := postSpec(t, ts, interp)
+	// The fusion knob is a choice with proven-identical results; it must
+	// hit the same cache entry too.
+	scalar := tinySpec(300)
+	scalar.NoFuse = true
+	id, code := postSpec(t, ts, scalar)
 	if code != http.StatusOK || id.ID != first.ID || !id.Deduped {
-		t.Fatalf("interpreted-flagged duplicate not served from cache: code=%d doc=%+v", code, id)
+		t.Fatalf("no_fuse-flagged duplicate not served from cache: code=%d doc=%+v", code, id)
 	}
 	if got := s.Stats(); got.CampaignsRun != before.CampaignsRun {
-		t.Fatalf("executor knob re-simulated: %+v", got)
+		t.Fatalf("fusion knob re-simulated: %+v", got)
 	}
 
 	// A genuinely different shard grouping is NOT a duplicate.
@@ -581,11 +581,21 @@ func TestServeRejectsBadSpecs(t *testing.T) {
 	if code := post(`{"bogus_field": 1}`); code != http.StatusBadRequest {
 		t.Errorf("unknown field: status %d", code)
 	}
-	// Campaigns run on the op tape by default; the executor A/B field is
-	// "interpreted", and the old "tape" field is an unknown field.
-	if code := post(`{"devices": 10, "seed": 1, "models": ["tiny"], "runtimes": ["sonic"],
-		"powers": [{"name": "cont", "kind": "cont"}], "tape": true}`); code != http.StatusBadRequest {
-		t.Errorf(`retired "tape" field: status %d`, code)
+	// Campaigns have one executor, the op tape: the retired executor
+	// fields "tape" and "interpreted" are unknown fields.
+	for _, field := range []string{"tape", "interpreted"} {
+		if code := post(`{"devices": 10, "seed": 1, "models": ["tiny"], "runtimes": ["sonic"],
+		"powers": [{"name": "cont", "kind": "cont"}], "` + field + `": true}`); code != http.StatusBadRequest {
+			t.Errorf("retired %q field: status %d", field, code)
+		}
+	}
+	// A runtime the simulator cannot run is rejected up front, not
+	// accepted as a job whose every device then fails.
+	ckpt1 := tinySpec(10)
+	ckpt1.Runtimes = []string{"ckpt-1"}
+	cb, _ := json.Marshal(ckpt1)
+	if code := post(string(cb)); code != http.StatusBadRequest {
+		t.Errorf("ckpt-1 runtime: status %d", code)
 	}
 	big, _ := json.Marshal(tinySpec(5000))
 	if code := post(string(big)); code != http.StatusBadRequest {

@@ -10,8 +10,8 @@ import (
 	"repro/internal/sonic"
 )
 
-// TestTapeAllocsIndependentOfReboots is the allocation guard for the
-// SONIC tape's host-side bookkeeping: charge profiles and the sparse
+// TestTapeAllocsIndependentOfReboots is the allocation guard for SONIC's
+// host-side bookkeeping: charge profiles and the sparse
 // segment train are built once per inference and reused across reboots,
 // so an inference on okg at rf-100uF, which reboots dozens of times,
 // allocates no more than the same inference on continuous power.
@@ -37,7 +37,7 @@ func TestTapeAllocsIndependentOfReboots(t *testing.T) {
 		allocs = testing.AllocsPerRun(3, func() {
 			power.Reset()
 			dev.Reprovision(power)
-			if _, err := (sonic.SONIC{Tape: true}).Infer(img, input); err != nil {
+			if _, err := (sonic.SONIC{}).Infer(img, input); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -14,7 +14,7 @@ import (
 // unchanged scalar path, so brown-outs land at the identical op index
 // with identical partial energy consumption, and logits, Stats, reboot
 // placement, and WAR records stay bit-exact (the fused differential
-// oracle and TestTapeInterpreterDifferential prove it per runtime).
+// oracle and TestExecutorGolden prove it per runtime).
 
 // canFuse reports whether fused kernels may engage: the device allows it
 // (no tracer, journal, or WAR shadow; devirtualized power) and no

@@ -10,35 +10,47 @@ import (
 	"repro/internal/tape"
 )
 
-// tapeLayerFn is layerFn executing from the compiled program: the LEA
-// convolution reads its row/generation decodes from tables, the dense
-// kernel (already decode-free) runs unchanged, and every software
-// fallback goes through sonic.TapeLayerFn — the same dispatch order as
-// the interpreted walk, issuing the identical op stream.
-func (t TAILS) tapeLayerFn(sc *scratch, p *tape.Program) sonic.LayerFn {
-	swFn := sonic.TapeLayerFn(p)
+// layerFn dispatches layers: LEA paths for conv and dense, SONIC's software
+// kernels for everything else. The LEA convolution reads its row/generation
+// decodes from the compiled tape; the dense kernel is decode-free.
+func (t TAILS) layerFn(sc *scratch) sonic.LayerFn {
 	return func(s *sonic.Exec, li int, parity bool, start sonic.Cursor) {
 		l := &s.Img.Layers[li]
 		switch {
 		case l.Q.Kind == dnn.QConv && l.NZ == nil:
 			src, dst := sonic.ActBufs(s.Img, parity)
-			t.tapeConvLayer(s, sc, l, &p.Layers[li], src, dst, start)
+			t.tapeConvLayer(s, sc, l, &s.Program().Layers[li], src, dst, start)
 		case l.Q.Kind == dnn.QDense:
 			src, dst := sonic.ActBufs(s.Img, parity)
-			t.denseLayer(s, sc, l, p.Layers[li].Name, src, dst, start)
+			t.denseLayer(s, sc, l, s.Program().Layers[li].Name, src, dst, start)
 		default:
-			swFn(s, li, parity, start)
+			// Sparse convolutions and sparse fully-connected layers run in
+			// software exactly like SONIC. (The paper pads sparse filters
+			// to run them on LEA and notes the wasted work "sometimes
+			// hurts performance"; on this device model it always does, so
+			// our TAILS keeps LEA for the dense and separated layers it
+			// actually accelerates.)
+			s.RunLayerSoftware(li, parity, start)
 		}
 	}
 }
 
-// tapeConvLayer is convLayer with the per-iteration coordinate decodes
-// read from the program. The calibrated tile size — and therefore the
-// chunks-per-row count — is device state, not model state, so the inner
-// (row, chunk) split stays a live counter pair (one div/mod at resume,
-// increments after); the (f, oy) and (ci, ky) decodes and the derived
-// coefficient/input/accumulator offsets all come from the row and
-// generation tables.
+// tapeConvLayer computes a 2-D convolution as iterated 1-D FIR
+// convolutions (§7.2), with loop-ordered buffering at row granularity for
+// idempotence. Generations are (channel, kernel-row) pairs; each inner
+// iteration convolves one calibrated chunk of one input row with one
+// weight row — so the progress unit is exactly what calibration sized to
+// the energy buffer — and accumulates into the opposite partial buffer.
+// Activations are pre-shifted in software so that LEA's fixed Q15 output
+// lands in the layer's final scale. Weight rows are used densely, pruned
+// (zero) taps included, as §7.2 describes.
+//
+// The per-iteration coordinate decodes are read from the compiled tape.
+// The calibrated tile size — and therefore the chunks-per-row count — is
+// device state, not model state, so the inner (row, chunk) split stays a
+// live counter pair (one div/mod at resume, increments after); the
+// (f, oy) and (ci, ky) decodes and the derived coefficient/input/
+// accumulator offsets all come from the row and generation tables.
 func (t TAILS) tapeConvLayer(s *sonic.Exec, sc *scratch, l *core.LayerImage, tl *tape.Layer,
 	src, dst *mem.Region, start sonic.Cursor) {
 	q := l.Q
@@ -112,6 +124,8 @@ func (t TAILS) tapeConvLayer(s *sonic.Exec, sc *scratch, l *core.LayerImage, tl 
 		s.Transition(tl.Name, start)
 	}
 
+	// Finalize: post-shift (if the output scale is finer than LEA's) and
+	// bias addition, elementwise in software.
 	final, _ := sonic.AccBufs(s.Img, gens-1)
 	// Fused finalize: the per-element charge profile is uniform across the
 	// whole layer (post-shift presence is a layer property, and shiftBias

@@ -6,12 +6,13 @@
 // every inference (or, for Base, on every brown-out retry).
 //
 // A Program changes *how fast the host simulates*, never *what the device
-// does*: executors built on these tables issue the exact op stream —
-// every charged Load/Store/Op, every section transition, every commit
-// point — that the interpreted layer walk issues, so logits, Stats,
-// reboot placement, and WAR records are bit-identical. The equivalence is
-// enforced per runtime by TestTapeInterpreterDifferential (harness), the
-// fork oracle, and the intermittest campaign.
+// does*: every runtime executes from these tables, and the op stream they
+// issue — every charged Load/Store/Op, every section transition, every
+// commit point — is the one the per-iteration coordinate decodes would
+// issue, so logits, Stats, reboot placement, and WAR records are pinned
+// per runtime by the goldens TestExecutorGolden and TestFig9Golden
+// (harness), which were captured from the layer walk that decoded
+// coordinates on every iteration before it was deleted.
 //
 // Programs are immutable after Compile and safe to share across
 // goroutines; per-inference mutable workspace comes from the program's
@@ -127,6 +128,11 @@ func Get(qm *dnn.QuantModel) *Program {
 	p, _ := cache.LoadOrStore(qm, Compile(qm))
 	return p.(*Program)
 }
+
+// Forget drops qm's compiled program from the cache, for callers that
+// run a model once: the cache otherwise holds the model and its program
+// for the life of the process. A later Get compiles it again.
+func Forget(qm *dnn.QuantModel) { cache.Delete(qm) }
 
 // Compile lowers the model into its pre-decoded tables.
 func Compile(qm *dnn.QuantModel) *Program {
@@ -244,7 +250,7 @@ func compileConv(q *dnn.QuantLayer, tl *Layer) {
 // compileSparse fills the CSR span tables: one span per row owning at
 // least one nonzero, in nonzero order, with the position→span back-map
 // used to resume mid-layer. Row lengths are clamped to the nonzero count
-// exactly as the interpreted walk clamps RowPtr[row+1].
+// exactly as the scalar walk clamps RowPtr[row+1].
 func compileSparse(q *dnn.QuantLayer, tl *Layer) {
 	nnz := int32(len(q.W))
 	tl.SpanOf = make([]int32, nnz)

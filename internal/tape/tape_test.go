@@ -14,8 +14,9 @@ import (
 )
 
 // TestCompileTablesMatchInterpretedDecodes cross-checks every table entry
-// against the div/mod chains the interpreted kernels compute live: the
-// tables are only legal if they answer the exact same questions.
+// against the div/mod chains a kernel would compute live (as the deleted
+// interpreted kernels did): the tables are only legal if they answer the
+// exact same questions.
 func TestCompileTablesMatchInterpretedDecodes(t *testing.T) {
 	qm, _ := intermittest.TinyModel(1)
 	p := tape.Compile(qm)
@@ -106,7 +107,7 @@ func TestCompileTablesMatchInterpretedDecodes(t *testing.T) {
 					if got, want := int(tl.GenCoef[g]), g*q.KW; got != want {
 						t.Fatalf("layer %d GenCoef[%d] = %d, want %d", li, g, got, want)
 					}
-					// The two tables recompose to the interpreted
+					// The two tables recompose to the live-decoded
 					// coefficient offset ((f*C+ci)*KH+ky)*KW.
 					for r := 0; r < q.F*oh; r++ {
 						f := r / oh
@@ -146,7 +147,7 @@ func TestCompileTablesMatchInterpretedDecodes(t *testing.T) {
 
 // TestGetMemoizesPerModel: one compile per model pointer, shared across
 // concurrent getters — the property that keeps fleet campaigns from
-// compiling a network once per device.
+// compiling a network once per device — until Forget drops it.
 func TestGetMemoizesPerModel(t *testing.T) {
 	qm, _ := intermittest.TinyModel(1)
 	const goroutines = 16
@@ -168,6 +169,11 @@ func TestGetMemoizesPerModel(t *testing.T) {
 	qm2, _ := intermittest.TinyModel(1)
 	if tape.Get(qm2) == progs[0] {
 		t.Fatal("distinct model pointers share a program")
+	}
+	// Forget drops the memo, so the next Get compiles afresh.
+	tape.Forget(qm)
+	if tape.Get(qm) == progs[0] {
+		t.Fatal("Get after Forget returned the forgotten program")
 	}
 }
 
