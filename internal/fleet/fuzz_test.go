@@ -39,6 +39,8 @@ func FuzzSpec(f *testing.F) {
 		// Runtime names the simulator cannot run, or that respell one.
 		valid("ckpt-1", rf),
 		valid("tile-08", rf),
+		valid("tile-512", rf),
+		valid("tile-511", rf),
 		// The retired executor knob is an unknown field.
 		strings.Replace(valid("sonic", rf), "{", `{"interpreted": true, `, 1),
 		`{"devices": 0, "models": ["tiny"], "runtimes": ["sonic"], "powers": [` + rf + `]}`,

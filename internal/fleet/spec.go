@@ -227,6 +227,11 @@ func RuntimeByName(name string) (core.Runtime, error) {
 		if size <= 0 {
 			return nil, fmt.Errorf("fleet: runtime %q: tile size must be positive, got %d", name, size)
 		}
+		if size > baseline.MaxTileSize {
+			// A task writes up to size partials plus its cursor, and the
+			// redo log holds baseline.DefaultLogEntries entries.
+			return nil, fmt.Errorf("fleet: runtime %q: tile size must be at most %d, got %d", name, baseline.MaxTileSize, size)
+		}
 		return baseline.Tile{TileSize: size}, nil
 	}
 	if n, ok := strings.CutPrefix(name, "ckpt-"); ok {

@@ -52,6 +52,8 @@ func TestFleetRuntimeByNameErrors(t *testing.T) {
 		{"tile-0", `runtime "tile-0": tile size must be positive, got 0`},
 		{"tile--4", `runtime "tile--4": tile size must be positive, got -4`},
 		{"tile-x", `runtime "tile-x": tile size "x" is not a number`},
+		{"tile-512", `runtime "tile-512": tile size must be at most 511, got 512`},
+		{"tile-4096", `runtime "tile-4096": tile size must be at most 511, got 4096`},
 		{"ckpt-0", `runtime "ckpt-0": checkpoint interval must be >= 2, got 0`},
 		{"ckpt-1", `runtime "ckpt-1": checkpoint interval must be >= 2, got 1`},
 		{"tile-08", `runtime "tile-08": tile size "08" is not in canonical form "8"`},
@@ -69,6 +71,10 @@ func TestFleetRuntimeByNameErrors(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("RuntimeByName(%q) = %q, want it to contain %q", tc.name, err, tc.want)
 		}
+	}
+	// The largest tile whose tasks the redo log can hold is valid.
+	if rt, err := RuntimeByName("tile-511"); err != nil || rt.Name() != "tile-511" {
+		t.Errorf(`RuntimeByName("tile-511") = %v, %v; want the tile-511 runtime`, rt, err)
 	}
 }
 

@@ -3,9 +3,12 @@ package harness
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/dnn"
 	"repro/internal/energy"
@@ -19,10 +22,19 @@ import (
 
 // fusedObservation extends diffObservation with the device-native
 // wasted-work figure, which the fused path must also reproduce bit-exactly
-// (it commits once per funded span instead of once per op).
+// (it commits once per funded span instead of once per op), and with the
+// words of every FRAM region that survives the inference, which fused
+// kernels write directly.
 type fusedObservation struct {
 	diffObservation
 	WastedNJ float64
+	FRAM     []regionWords
+}
+
+// regionWords is one FRAM region's contents.
+type regionWords struct {
+	Name  string
+	Words []int64
 }
 
 // fusedRun executes one inference with fused kernels allowed (noFuse
@@ -46,6 +58,10 @@ func fusedRun(t *testing.T, qm *dnn.QuantModel, qin []fixed.Q15,
 			Stats:  *dev.Stats(),
 		},
 		WastedNJ: dev.WastedNJ(),
+	}
+	for i := 0; i < dev.FRAM.Regions(); i++ {
+		r := dev.FRAM.RegionAt(i)
+		obs.FRAM = append(obs.FRAM, regionWords{r.Name, slices.Clone(r.ROWords())})
 	}
 	if ierr != nil {
 		if errors.Is(ierr, mcu.ErrDoesNotComplete) {
@@ -85,27 +101,98 @@ func fusedPowers() []struct {
 // capacitor/harvester brown-out cycles, a run with fused bulk kernels
 // allowed must be bit-identical — logits, cycles, integer-picojoule
 // energy, per-op counts, per-section stats, MaxRegionOps, reboot count,
-// dead time, and the wasted-work figure — to the same run with
-// Device.NoFuse pinning the scalar op-by-op path.
+// dead time, the wasted-work figure and the words of every FRAM region
+// that survives the inference — to the same run with Device.NoFuse
+// pinning the scalar op-by-op path.
 //
-// Like the bulk oracle, CI greps for each runtime's PASS line and
+// Each runtime also runs AdversarialCSRModel, whose empty rows and rows
+// spanning several tiles stress the tiled runtimes' task profiles, and
+// denseConvModel, whose unpruned filters take the first-element
+// kernels. The tiled runtimes, which fund whole tasks, must reboot on
+// TinyModel at rf-100uF, so that a fused train hands over to a scalar
+// task that browns out.
+//
+// Like the bulk oracle, CI greps for each runtime's PASS lines and
 // rejects skips.
 func TestFusedScalarDifferential(t *testing.T) {
 	qm, x := intermittest.TinyModel(1)
 	qin := qm.QuantizeInput(x)
+	csr, cx := intermittest.AdversarialCSRModel(1)
+	cin := csr.QuantizeInput(cx)
+	dc, dx := denseConvModel(t)
+	din := dc.QuantizeInput(dx)
 
 	for _, rt := range allRuntimes() {
 		t.Run(rt.Name(), func(t *testing.T) {
-			for _, pw := range fusedPowers() {
-				fused := fusedRun(t, qm, qin, rt, pw.mk(), false)
-				scalar := fusedRun(t, qm, qin, rt, pw.mk(), true)
-				diffCompare(t, pw.name, fused.diffObservation, scalar.diffObservation)
-				if fused.WastedNJ != scalar.WastedNJ {
-					t.Errorf("%s: WastedNJ diverges: fused=%v scalar=%v",
-						pw.name, fused.WastedNJ, scalar.WastedNJ)
+			_, tiled := rt.(baseline.Tile)
+			fusedOracle(t, qm, qin, rt, tiled)
+			t.Run("adversarial-csr", func(t *testing.T) {
+				fusedOracle(t, csr, cin, rt, false)
+			})
+			t.Run("dense-conv", func(t *testing.T) {
+				fusedOracle(t, dc, din, rt, false)
+			})
+		})
+	}
+}
+
+// denseConvModel builds a small net with two unpruned convolutions. The
+// second starts each filter over the first one's stale partials, so a
+// first-element kernel that read them would show, and its 12 output
+// positions are fewer than tile-32's iterations, so its tasks
+// re-privatize partials.
+func denseConvModel(t *testing.T) (*dnn.QuantModel, []float64) {
+	t.Helper()
+	rng := rand.New(rand.NewPCG(3, 5))
+	n := dnn.NewNetwork("dense-conv", dnn.Shape{1, 4, 8})
+	n.Add(
+		dnn.NewConv(rng, 2, 1, 2, 2), // -> 2x3x7
+		dnn.NewReLU(),
+		dnn.NewConv(rng, 2, 2, 2, 2), // -> 2x2x6
+		dnn.NewFlatten(),
+		dnn.NewDense(rng, 3, 24),
+	)
+	x := make([]float64, 32)
+	for i := range x {
+		x[i] = rng.Float64()*1.6 - 0.8
+	}
+	qm, err := dnn.Quantize(n, [][]float64{x})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, li := range []int{0, 2} {
+		if qm.Layers[li].NZ != nil {
+			t.Fatalf("dense-conv layer %d quantized with a nonzero list", li)
+		}
+	}
+	return qm, x
+}
+
+// fusedOracle compares the fused and NoFuse runs of one inference under
+// every fused power, requiring reboots at rf-100uF when wantReboots.
+func fusedOracle(t *testing.T, qm *dnn.QuantModel, qin []fixed.Q15, rt core.Runtime, wantReboots bool) {
+	t.Helper()
+	for _, pw := range fusedPowers() {
+		fused := fusedRun(t, qm, qin, rt, pw.mk(), false)
+		scalar := fusedRun(t, qm, qin, rt, pw.mk(), true)
+		diffCompare(t, pw.name, fused.diffObservation, scalar.diffObservation)
+		if fused.WastedNJ != scalar.WastedNJ {
+			t.Errorf("%s: WastedNJ diverges: fused=%v scalar=%v",
+				pw.name, fused.WastedNJ, scalar.WastedNJ)
+		}
+		if !reflect.DeepEqual(fused.FRAM, scalar.FRAM) {
+			for i := range min(len(fused.FRAM), len(scalar.FRAM)) {
+				if f, s := fused.FRAM[i], scalar.FRAM[i]; !reflect.DeepEqual(f, s) {
+					t.Errorf("%s: FRAM region %q diverges: fused=%v scalar=%v", pw.name, f.Name, f.Words, s.Words)
 				}
 			}
-		})
+			if len(fused.FRAM) != len(scalar.FRAM) {
+				t.Errorf("%s: %d FRAM regions survive fused, %d scalar", pw.name, len(fused.FRAM), len(scalar.FRAM))
+			}
+		}
+		if wantReboots && pw.name == "rf-100uF" && scalar.Stats.Reboots == 0 {
+			t.Errorf("%s: no reboots: the fused-to-scalar brown-out handoff is not exercised", pw.name)
+		}
 	}
 }
 

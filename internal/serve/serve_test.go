@@ -597,6 +597,20 @@ func TestServeRejectsBadSpecs(t *testing.T) {
 	if code := post(string(cb)); code != http.StatusBadRequest {
 		t.Errorf("ckpt-1 runtime: status %d", code)
 	}
+	// So is a tile the redo log cannot hold; the largest one it can is a
+	// valid job.
+	tile512 := tinySpec(10)
+	tile512.Runtimes = []string{"tile-512"}
+	tb, _ := json.Marshal(tile512)
+	if code := post(string(tb)); code != http.StatusBadRequest {
+		t.Errorf("tile-512 runtime: status %d", code)
+	}
+	tile511 := tinySpec(10)
+	tile511.Runtimes = []string{"tile-511"}
+	tb, _ = json.Marshal(tile511)
+	if code := post(string(tb)); code != http.StatusAccepted {
+		t.Errorf("tile-511 runtime: status %d, want %d", code, http.StatusAccepted)
+	}
 	big, _ := json.Marshal(tinySpec(5000))
 	if code := post(string(big)); code != http.StatusBadRequest {
 		t.Errorf("oversized fleet: status %d", code)

@@ -93,6 +93,7 @@ type Program struct {
 
 	zeros []int64 // shared all-zero block; read-only after Compile
 	pool  sync.Pool
+	memo  sync.Map // Memo's cache: key -> runtime-compiled artifact
 }
 
 // Scratch is one inference's mutable workspace, sized for the program's
@@ -115,6 +116,19 @@ func (p *Program) PutScratch(s *Scratch) { p.pool.Put(s) }
 // accumulator block). Callers must treat it as read-only.
 func (p *Program) Zeros(n int) []int64 { return p.zeros[:n] }
 
+// Memo returns the artifact cached on the program under key, building
+// it on first use. Runtimes hang what they compile per model here — the
+// tile runtime's pass plans — so Forget evicts it with the program. Keys
+// should be of a type private to the caller; build may run more than
+// once under contention, and one result wins.
+func (p *Program) Memo(key any, build func() any) any {
+	if v, ok := p.memo.Load(key); ok {
+		return v
+	}
+	v, _ := p.memo.LoadOrStore(key, build())
+	return v
+}
+
 // cache memoizes Compile per model pointer: quantized models are
 // immutable once deployed, so identity is the right key, and a fleet
 // compiles each network once per process.
@@ -129,9 +143,10 @@ func Get(qm *dnn.QuantModel) *Program {
 	return p.(*Program)
 }
 
-// Forget drops qm's compiled program from the cache, for callers that
-// run a model once: the cache otherwise holds the model and its program
-// for the life of the process. A later Get compiles it again.
+// Forget drops qm's compiled program, and with it everything memoized on
+// the program, from the cache, for callers that run a model once: the
+// cache otherwise holds the model and its program for the life of the
+// process. A later Get compiles it again.
 func Forget(qm *dnn.QuantModel) { cache.Delete(qm) }
 
 // Compile lowers the model into its pre-decoded tables.

@@ -77,9 +77,17 @@ type Runtime struct {
 	lastReg, prevReg *mem.Region
 	lastID, prevID   int
 
-	// logScratch is the reusable staging buffer for WriteRange's
-	// interleaved (address, value) log entries.
+	// logScratch is the staging buffer for WriteRange's interleaved
+	// (address, value) log entries and the replay's value runs, sized for
+	// a full log at New so that charging under brown-outs allocates no
+	// more than a run that never takes the scalar path.
 	logScratch []int64
+
+	// fuser, when set, funds and applies whole tasks ahead of their
+	// bodies (see Run); fusedN counts the log entries LogFused has
+	// rewritten for the task it is logging.
+	fuser  Fuser
+	fusedN int
 }
 
 // regionID resolves a task-shared region to its dense id, panicking on
@@ -129,11 +137,12 @@ func New(dev *mcu.Device, logEntries int) (*Runtime, error) {
 	// them from WAR checking.
 	dev.MarkProtocol(state, log)
 	return &Runtime{
-		dev:   dev,
-		state: state,
-		log:   log,
-		cap:   logEntries,
-		ids:   make(map[*mem.Region]int),
+		dev:        dev,
+		state:      state,
+		log:        log,
+		cap:        logEntries,
+		ids:        make(map[*mem.Region]int),
+		logScratch: make([]int64, 2*logEntries),
 	}, nil
 }
 
@@ -211,10 +220,142 @@ func (rt *Runtime) Run() error {
 			rt.dev.Emit(mcu.TraceTaskBegin, rt.tasks[cur].name, int64(cur))
 			rt.dev.Store(rt.state, stCount, 0)
 			rt.clearWriteSet()
+			if rt.fuser != nil && rt.dev.CanFuse() {
+				if m := rt.dev.ChargeTrain(rt.fuser.Train(cur)); m > 0 {
+					rt.finishFused(rt.fuser.Apply(m))
+					continue
+				}
+			}
+			ctx.cur = cur
 			next := rt.tasks[cur].f(ctx)
 			rt.commit(next)
 		}
 	})
+}
+
+// Fuser executes whole tasks without running their bodies: Run funds a
+// train of them in one mcu.ChargeTrain call, and the Fuser applies the
+// funded tasks' effects directly. Run consults it at every task start
+// while the device can fuse (mcu.Device.CanFuse) and hands the first
+// unfunded task to its body, which charges op by op and browns out at
+// the op the scalar path would.
+//
+// Funding only whole tasks is what makes this exact: every task ends in
+// the commit's Progress, so a funded task is a whole commit region, and
+// the op-level interleaving inside it is unobservable once it has
+// committed.
+type Fuser interface {
+	// Train returns the charge train of the tasks from cur on, one
+	// iteration per task, in execution order. cur's own block leaves out
+	// the two dispatch-loop ops Run has already charged for it; every
+	// later task's block starts with them (ChargeDispatch), attributed
+	// to the previous task's transition section, where the scalar loop
+	// charges them. Each block ends with the commit (ChargeCommit) in
+	// the task's transition section. The slice is valid until the next
+	// Train call.
+	Train(cur ID) []mcu.TrainSeg
+	// Apply makes the first m > 0 tasks of the last train take effect
+	// as their commits would have left them: their home words, and,
+	// through ResetFusedLog and LogFused, the redo log. It returns the
+	// task the last of them transitions to.
+	Apply(m int) ID
+}
+
+// SetFuser installs the runtime's fused task executor (nil removes it).
+func (rt *Runtime) SetFuser(f Fuser) { rt.fuser = f }
+
+// finishFused leaves the control state as the last fused task's commit
+// does: next staged and current, execution phase, empty log.
+func (rt *Runtime) finishFused(next ID) {
+	rt.state.Put(stPhase, phaseExec)
+	rt.state.Put(stCur, int64(next))
+	rt.state.Put(stNext, int64(next))
+	rt.state.Put(stCount, 0)
+}
+
+// ResetFusedLog starts rewriting the redo log as one fused task's
+// commit would have left it. The log entries themselves follow through
+// LogFused.
+func (rt *Runtime) ResetFusedLog() {
+	rt.clearWriteSet()
+	rt.fusedN = 0
+}
+
+// LogFused records that the fused task wrote task-shared words
+// r[i:i+n], in order: each word's first record appends its entry, with
+// the word's home value, where the task's first Write to it appended;
+// later records of the same word change nothing, since the scalar
+// in-place log update leaves the slot holding the word's final value,
+// which the fused task has already stored home. Charges nothing, and
+// keeps only the write set's marks, which Run clears at the next task.
+func (rt *Runtime) LogFused(r *mem.Region, i, n int) {
+	id := rt.regionID(r)
+	epoch := rt.wsEpoch
+	marks := rt.wsMark[id][i : i+n]
+	home := r.ROWords()[i : i+n]
+	lw := rt.log.Words()
+	e := rt.fusedN
+	for j, m := range marks {
+		if m == epoch {
+			continue
+		}
+		marks[j] = epoch
+		lw[2*e] = rt.pack(id, i+j)
+		lw[2*e+1] = home[j]
+		e++
+	}
+	rt.fusedN = e
+}
+
+// The protocol's charge, for Fusers that compile whole-task profiles
+// ahead of time. Each function adds to ops exactly the op kinds its
+// scalar counterpart charges; the state and log regions live in FRAM
+// (New).
+
+// ChargeDispatch adds the dispatch loop's per-task ops: the stCur load
+// and the stCount reset.
+func ChargeDispatch(ops *[mcu.NumOps]int) {
+	ops[mcu.OpLoadFRAM]++
+	ops[mcu.OpStoreFRAM]++
+}
+
+// ChargeRead adds a Ctx.Read: the privatization lookup, then a log load
+// when the word is privatized or a home load of kind home otherwise.
+func ChargeRead(ops *[mcu.NumOps]int, home mcu.OpKind, privatized bool) {
+	ops[mcu.OpPrivatize]++
+	if privatized {
+		ops[mcu.OpLoadFRAM]++
+	} else {
+		ops[home]++
+	}
+}
+
+// ChargeWrite adds a Ctx.Write: the privatization lookup, then either a
+// fresh log append (log-count load, the entry's two stores, log-count
+// store) or, for a privatized word, the in-place log store.
+func ChargeWrite(ops *[mcu.NumOps]int, fresh bool) {
+	ops[mcu.OpPrivatize]++
+	if fresh {
+		ops[mcu.OpLoadFRAM]++
+		ops[mcu.OpStoreFRAM] += 3
+	} else {
+		ops[mcu.OpStoreFRAM]++
+	}
+}
+
+// ChargeCommit adds a task's two-phase commit of its redo log, whose
+// entries are stored home by homes[k] stores of kind k: staging the
+// target and phase, replaying the log, then finishing the transition.
+func ChargeCommit(ops *[mcu.NumOps]int, homes *[mcu.NumOps]int) {
+	entries := 0
+	for k, n := range homes {
+		ops[k] += n
+		entries += n
+	}
+	ops[mcu.OpStoreFRAM] += 2 // stNext, stPhase
+	ops[mcu.OpLoadFRAM] += 1 + 2*entries + 1
+	ops[mcu.OpStoreFRAM] += 3 // stCur, stCount, stPhase
+	ops[mcu.OpDispatch]++
 }
 
 // commit runs the two-phase transition: stage the target, enter commit
@@ -259,9 +400,6 @@ func (rt *Runtime) replayAndFinish() {
 		// failure mid-replay rewrites the words from the log. Not a WAR
 		// hazard even though the body read these words earlier.
 		if m := run - j; m >= 4 {
-			if cap(rt.logScratch) < m {
-				rt.logScratch = make([]int64, m)
-			}
 			vals := rt.logScratch[:m]
 			for t := 0; t < m; t++ {
 				vals[t] = lw[2*(j+t)+1]
@@ -296,8 +434,13 @@ func (rt *Runtime) decode(addr int64) (*mem.Region, int) {
 
 // Ctx is the view a task body has of the runtime.
 type Ctx struct {
-	rt *Runtime
+	rt  *Runtime
+	cur ID
 }
+
+// Task returns the task the body is running as, so one Func can serve
+// many tasks.
+func (c *Ctx) Task() ID { return c.cur }
 
 // Dev exposes the device for compute operations (multiplies, adds) and for
 // reads of read-only data such as weights, which need no privatization.
@@ -415,9 +558,6 @@ func (c *Ctx) WriteRange(r *mem.Region, i int, vals []int64) bool {
 			dev.Emit(mcu.TracePrivatize, r.Name, int64(n0+j))
 		}
 	}
-	if cap(rt.logScratch) < 2*n {
-		rt.logScratch = make([]int64, 2*n)
-	}
 	entries := rt.logScratch[:2*n]
 	for j := 0; j < n; j++ {
 		entries[2*j] = rt.pack(id, i+j)
@@ -467,9 +607,6 @@ func (c *Ctx) AccumulateRow(r *mem.Region, i, k int, final int64) bool {
 	dev.LoadRange(r, i, 1) // first pair's home read
 	dev.Ops(mcu.OpLoadFRAM, 1)
 	dev.Emit(mcu.TracePrivatize, r.Name, int64(n))
-	if cap(rt.logScratch) < 2 {
-		rt.logScratch = make([]int64, 2)
-	}
 	entry := rt.logScratch[:2]
 	entry[0], entry[1] = rt.pack(id, i), final
 	dev.StoreRange(rt.log, 2*n, entry)
